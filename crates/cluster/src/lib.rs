@@ -17,8 +17,9 @@
 //!   (any [`ac_commit::protocols::ProtocolKind`]), apply/release, with a
 //!   post-run safety audit. Since ISSUE-5 the service is also the
 //!   fault-injection substrate: [`run_service_faulted`] accepts a
-//!   [`FaultSpec`] (a [`NetPolicy`] deciding per-envelope [`Fate`]s plus
-//!   per-node [`CrashWindow`]s), nodes write-ahead-log prepares/decisions
+//!   [`FaultSpec`] (a [`NetPolicy`] deciding per-envelope [`Fate`]s, applied
+//!   by a [`FaultTransport`] below the transport seam, plus per-node
+//!   [`CrashWindow`]s), nodes write-ahead-log prepares/decisions
 //!   to [`ac_txn::Wal`] and recover from it on restart, and clients use
 //!   bounded, retrying reply waits instead of blocking on dead nodes.
 //!
@@ -44,9 +45,11 @@ pub use ac_obs::{
 pub use codec::{AnyFrame, FrameDecoder, MAX_FRAME};
 pub use inline::InlineVec;
 pub use service::{
-    participants_of, run_service, run_service_faulted, CrashWindow, Done, Fate, FaultSpec,
-    NetPolicy, NodeRecord, ServiceConfig, ServiceOutcome, ToNode, TransportKind, TxnEvent,
-    ORPHAN_CAP,
+    participants_of, run_service, run_service_faulted, CrashWindow, Done, FaultSpec, NodeRecord,
+    ServiceConfig, ServiceOutcome, ToNode, TransportKind, TxnEvent, ORPHAN_CAP,
 };
 pub use spec::ClusterSpec;
-pub use transport::{ChannelTransport, ClientRegistry, TcpNode, TcpTransport, Transport};
+pub use transport::{
+    ChannelTransport, ClientRegistry, Fate, FaultCounters, FaultTransport, NetPolicy, Release,
+    TcpNode, TcpTransport, Transport,
+};

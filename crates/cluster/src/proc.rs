@@ -187,7 +187,6 @@ where
         transport: Box::new(TcpTransport::new(spec.nodes.clone()).with_net(Arc::clone(&net))),
         done_txs,
         wire: Arc::new(AtomicUsize::new(0)),
-        policy: None,
         window: None,
         wal: None,
         wal_flush_interval: None,

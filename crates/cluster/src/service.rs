@@ -32,20 +32,22 @@
 //! ## Failure injection, crash/restart and recovery (since ISSUE-5)
 //!
 //! [`run_service_faulted`] augments the failure-free service with a
-//! [`FaultSpec`]:
+//! [`FaultSpec`]. Neither kind of fault touches the node loop's pipeline:
 //!
-//! * a [`NetPolicy`] is consulted for every node-to-node envelope at flush
-//!   time and may **drop** or **delay** it (`ac-chaos` implements seeded
-//!   plans: partitions, loss, extra latency);
+//! * a [`NetPolicy`] wraps each node's transport in a [`FaultTransport`],
+//!   below the transport seam. It judges every node-to-node envelope at flush time
+//!   and may **drop** or **delay** it (`ac-chaos` implements seeded plans:
+//!   partitions, loss, extra latency);
 //! * a per-node [`CrashWindow`] crashes the node at a wall-clock offset:
-//!   the thread discards its entire volatile state (demux instances,
-//!   timers, metadata, the in-memory shard) and ignores all traffic until
-//!   the restart offset, when it **recovers from its write-ahead log**
-//!   ([`ac_txn::Wal`]): committed state and the decision log are rebuilt,
-//!   locks of in-flight prepared transactions are re-taken, their protocol
-//!   instances are re-opened (fresh automata with the *logged* vote — no
-//!   re-validation), decision reports are re-sent, and a `StatusQ` round
-//!   asks peers for decisions reached while the node was down.
+//!   the thread replaces its volatile state (demux instances, timers,
+//!   metadata, the in-memory shard, staged batches) with a fresh one and
+//!   ignores all traffic until the restart offset, when it **recovers from
+//!   its write-ahead log** ([`ac_txn::Wal`]): committed state and the
+//!   decision log are rebuilt, locks of in-flight prepared transactions
+//!   are re-taken, their protocol instances are re-opened (fresh automata
+//!   with the *logged* vote — no re-validation), decision reports are
+//!   re-sent, and a `StatusQ` round asks peers for decisions reached while
+//!   the node was down. Counters survive the crash.
 //!
 //! Clients never block forever on a dead node: every reply wait is bounded
 //! by [`ServiceConfig::reply_timeout`], after which the client re-sends
@@ -63,16 +65,26 @@
 //!
 //! ## The hot path (batched since ISSUE-4)
 //!
-//! Both loops are **drain-then-dispatch**: a node blocks on the *exact*
-//! next deadline (timer, delayed-envelope release or scheduled crash; or
-//! indefinitely when idle — an idle node performs zero wakeups, see
-//! [`ServiceOutcome::spurious_wakeups`]), drains its whole inbound backlog
-//! in one lock acquisition (`recv_batch_timeout`), dispatches every
-//! envelope through the slab-indexed demultiplexer, and only then flushes
-//! the outputs — one `send_batch` per peer node and per client. Self-sends
-//! short-circuit through an in-memory queue and never touch a channel.
+//! Both loops are **drain-then-dispatch**. One node-loop iteration is a
+//! fixed pipeline of steps, one method each:
+//!
+//! 1. *drain* — block on the *exact* next deadline (timer, the
+//!    transport's next release, the group-commit cap or a scheduled
+//!    crash; or indefinitely when idle — an idle node performs zero
+//!    wakeups, see [`ServiceOutcome::spurious_wakeups`]) and take the
+//!    whole inbound backlog in one lock acquisition
+//!    (`recv_batch_timeout`);
+//! 2. *dispatch* every envelope through the slab-indexed demultiplexer;
+//! 3. *settle* self-deliveries and due timers to quiescence;
+//! 4. *apply* the buffered decisions to the shard;
+//! 5. *flush* — the group-commit WAL *force*, then one `send_batch` per
+//!    peer node and per client;
+//! 6. *account* for a wakeup that moved nothing.
+//!
+//! Self-sends short-circuit through an in-memory queue and never touch a
+//! channel.
 
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -84,7 +96,7 @@ use ac_runtime::{NodeEvent, NodeLoop, Slab, UnitClock};
 use ac_sim::ProcessId;
 use ac_txn::workload::{ArrivalSchedule, Workload, WorkloadConfig};
 use ac_txn::{Shard, Transaction, TxnId, Wal, WalRecord};
-use crossbeam::channel::{unbounded, Receiver, RecvError, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use ac_obs::{
     lifecycles, Attribution, FlightEvent, FlightStage, LatencyHistogram, NodeObs, ObsExport,
@@ -92,7 +104,9 @@ use ac_obs::{
 };
 
 use crate::inline::InlineVec;
-use crate::transport::{ChannelTransport, TcpNode, TcpTransport, Transport};
+use crate::transport::{
+    ChannelTransport, FaultCounters, FaultTransport, NetPolicy, TcpNode, TcpTransport, Transport,
+};
 
 /// Upper bound on envelopes drained per node-loop iteration. Bounds the
 /// latency a long backlog can add to timer firing while still amortizing
@@ -125,29 +139,6 @@ pub fn participants_of(txn: &Transaction, n: usize) -> Vec<usize> {
     } else {
         (0..n).collect()
     }
-}
-
-/// What the fault layer decides about one node-to-node envelope.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Fate {
-    /// Put it on the wire now.
-    Deliver,
-    /// Lose it (partition, lossy link).
-    Drop,
-    /// Deliver it after an extra delay.
-    Delay(Duration),
-}
-
-/// A fault-injection policy consulted for every node-to-node envelope.
-///
-/// `seq` is a per-`(from, to)` monotone counter, so a seeded policy can be
-/// deterministic without interior mutability (`ac-chaos::FaultProxy` hashes
-/// `(seed, from, to, seq)`); `elapsed` is wall time since the service
-/// epoch. Client↔node control traffic is *not* subject to the policy (the
-/// client is the measurement harness, not a distributed component).
-pub trait NetPolicy: Send + Sync {
-    /// Decide the fate of one envelope from `from` to `to`.
-    fn fate(&self, from: ProcessId, to: ProcessId, elapsed: Duration, seq: u64) -> Fate;
 }
 
 /// A scheduled crash (and optional restart) of one node, as wall-clock
@@ -717,39 +708,11 @@ struct TxnMeta {
     my_rank: usize,
 }
 
-/// An envelope held back by a [`Fate::Delay`] verdict, released at `due`.
-struct DelayedEnv<M> {
-    due: Instant,
-    seq: u64,
-    to: ProcessId,
-    env: ToNode<M>,
-}
-
-impl<M> PartialEq for DelayedEnv<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl<M> Eq for DelayedEnv<M> {}
-impl<M> PartialOrd for DelayedEnv<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for DelayedEnv<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reverse for a min-heap on `due`.
-        other.due.cmp(&self.due).then(other.seq.cmp(&self.seq))
-    }
-}
-
 pub(crate) struct NodeReturn {
     pub(crate) shard: Shard,
     pub(crate) log: Vec<NodeRecord>,
     /// Wakeups that found neither a message nor a due timer.
     pub(crate) spurious_wakeups: usize,
-    pub(crate) dropped_messages: usize,
-    pub(crate) delayed_messages: usize,
     pub(crate) orphaned_envelopes: usize,
     /// Prepare records staged on the Begin critical path (the records a
     /// pre-group-commit node forced one by one).
@@ -871,11 +834,11 @@ pub(crate) struct NodeEnv<P: CommitProtocol> {
     pub(crate) epoch: Instant,
     pub(crate) rx: Receiver<ToNode<P::Msg>>,
     /// The node-to-node seam: everything the flush step emits goes
-    /// through here ([`ChannelTransport`] or [`TcpTransport`]).
+    /// through here ([`ChannelTransport`] or [`TcpTransport`], wrapped in
+    /// a [`FaultTransport`] when the run injects message faults).
     pub(crate) transport: Box<dyn Transport<P::Msg>>,
     pub(crate) done_txs: Vec<Sender<Done>>,
     pub(crate) wire: Arc<AtomicUsize>,
-    pub(crate) policy: Option<Arc<dyn NetPolicy>>,
     pub(crate) window: Option<CrashWindow>,
     pub(crate) wal: Option<Arc<Mutex<Wal>>>,
     /// Time-based group-commit cap (see
@@ -931,12 +894,13 @@ where
             .collect(),
     };
     let addrs: Vec<std::net::SocketAddr> = tcp_nodes.iter().map(|t| t.addr()).collect();
-    let make_transport = |_who: &str| -> Box<dyn Transport<P::Msg>> {
+    let make_transport = || -> Box<dyn Transport<P::Msg>> {
         match cfg.transport {
             TransportKind::Channel => Box::new(ChannelTransport::new(node_txs.clone())),
             TransportKind::Tcp => Box::new(TcpTransport::new(addrs.clone())),
         }
     };
+    let faults = Arc::new(FaultCounters::default());
 
     // Write-ahead logs live *outside* the node threads — the in-process
     // stand-in for durable storage that survives a crash.
@@ -950,6 +914,19 @@ where
         .into_iter()
         .enumerate()
         .map(|(me, rx)| {
+            // Message faults live below the seam: the node loop never
+            // sees the policy.
+            let transport = match &spec.policy {
+                Some(policy) => Box::new(FaultTransport::new(
+                    make_transport(),
+                    me,
+                    n,
+                    Arc::clone(policy),
+                    epoch,
+                    Arc::clone(&faults),
+                )),
+                None => make_transport(),
+            };
             let env = NodeEnv::<P> {
                 me,
                 n,
@@ -957,10 +934,9 @@ where
                 unit: cfg.unit,
                 epoch,
                 rx,
-                transport: make_transport("node"),
+                transport,
                 done_txs: done_txs.clone(),
                 wire: Arc::clone(&wire),
-                policy: spec.policy.clone(),
                 window: spec.crashes[me],
                 wal: wals[me].clone(),
                 wal_flush_interval: cfg.wal_flush_interval,
@@ -976,7 +952,7 @@ where
         .into_iter()
         .enumerate()
         .map(|(client, rx)| {
-            let transport = make_transport("client");
+            let transport = make_transport();
             let cfg = cfg.clone();
             std::thread::spawn(move || client_main::<P>(client, &cfg, epoch, transport, rx))
         })
@@ -1000,7 +976,7 @@ where
         t.shutdown();
     }
 
-    aggregate(cfg, client_returns, node_returns, elapsed, &wire)
+    aggregate(cfg, client_returns, node_returns, elapsed, &wire, &faults)
 }
 
 /// The submitting client encoded in a [`TxnId`] (inverse of
@@ -1014,908 +990,857 @@ fn txn_seq(id: TxnId) -> u64 {
     id & 0xFFFF_FFFF
 }
 
-/// Apply every buffered decision to the shard, the staged WAL batch, the
-/// node log and the per-client reply batches. Called once per node-loop
-/// iteration, and additionally before an `End` garbage-collects a
-/// transaction's metadata (a decision and its `End` can land in the same
-/// drained batch).
-///
-/// Durability rides on group commit: records are **staged** into
-/// `wal_batch` here and forced once per drain batch in the flush step —
-/// before any `Done` staged here can leave the node — so the
-/// durability-before-reply invariant is unchanged while the force cost
-/// is amortized.
-///
-/// A logless commit for a crash-recovered transaction (no local
-/// yes-vote, so no locks held) must re-take its write locks before the
-/// writes can apply — but only when they are **free**. A different live
-/// transaction may have prepared (voted yes, taken a lock) at this node
-/// since the restart; overwriting its lock would make its own later
-/// `finish` silently skip its writes — a lost update diverging the live
-/// shard from the sequential replay. Such commits wait in `deferred`
-/// until the owner decides and releases the lock (every protocol in the
-/// suite terminates by timeout, so it does) and are re-examined on every
-/// call. Startup WAL replay is the only place an unconditional
-/// [`Shard::relock`] is sound: it runs before any live traffic.
-#[allow(clippy::too_many_arguments)]
-fn apply_decisions(
-    decided: &mut Vec<(TxnId, u64)>,
-    deferred: &mut Vec<(TxnId, u64)>,
-    meta: &Slab<TxnMeta>,
-    shard: &mut Shard,
-    log: &mut Vec<NodeRecord>,
-    done_out: &mut [Vec<Done>],
+/// What one node has produced but not yet acted on: the engine's effects
+/// (self-sends, decisions) and the per-destination batches the flush step
+/// sends. Part of the volatile [`NodeState`].
+struct Effects<M> {
     me: ProcessId,
-    wal_batch: Option<&mut Vec<WalRecord>>,
-    decided_map: &mut HashMap<TxnId, u64>,
-    logless: bool,
-    obs: &mut NodeObs,
-    epoch: Instant,
-) {
-    let mut wal_batch = wal_batch;
-    // Deferred decisions are re-examined ahead of the new batch: the
-    // lock owner that blocked them may have finished since.
-    if !deferred.is_empty() {
-        deferred.extend(decided.drain(..));
-        std::mem::swap(decided, deferred);
+    /// Self-deliveries, drained by the settle step without touching a
+    /// channel.
+    selfq: VecDeque<(TxnId, M)>,
+    /// Per-peer outbound envelopes, flushed once per iteration.
+    outbox: Vec<Vec<ToNode<M>>>,
+    /// Per-client decision reports, flushed once per iteration.
+    done_out: Vec<Vec<Done>>,
+    /// Decisions the engine reached, applied by the apply step.
+    decided: Vec<(TxnId, u64)>,
+}
+
+impl<M> Effects<M> {
+    fn new(me: ProcessId, n: usize, clients: usize) -> Effects<M> {
+        Effects {
+            me,
+            selfq: VecDeque::new(),
+            outbox: (0..n).map(|_| Vec::new()).collect(),
+            done_out: (0..clients).map(|_| Vec::new()).collect(),
+            decided: Vec::new(),
+        }
     }
-    loop {
-        let mut progress = false;
-        let mut blocked: Vec<(TxnId, u64)> = Vec::new();
-        for (txn_id, value) in decided.drain(..) {
-            if decided_map.contains_key(&txn_id) {
-                continue; // duplicate (e.g. StatusA raced the protocol decide)
-            }
-            let Some(m) = meta.get(txn_id) else {
-                continue;
-            };
-            let commit = value == COMMIT;
-            // Logless vote reconstruction: a commit proves every
-            // participant voted yes (commit validity), so journal yes even
-            // if this node re-joined the transaction voteless after a
-            // crash — the protocol decided on the pre-crash yes its peers
-            // hold.
-            let vote = if logless { m.vote || commit } else { m.vote };
-            if logless && commit && !m.vote {
-                // The pre-crash yes-vote's locks died with the crash and
-                // the re-joined transaction holds none. Re-take them only
-                // if no live transaction owns one (see the fn docs).
-                if shard.foreign_lock_owner(&m.txn).is_some() {
-                    blocked.push((txn_id, value));
-                    continue;
-                }
-                shard.relock(&m.txn);
-            }
-            shard.finish(&m.txn, commit);
-            if let Some(batch) = wal_batch.as_deref_mut() {
-                let t0 = Instant::now();
-                if logless {
-                    // The deferred prepare record: staged together with
-                    // the decision, after the outcome is known — a journal
-                    // entry, not a critical-path force.
-                    batch.push(WalRecord::Prepare {
-                        txn: Arc::clone(&m.txn),
-                        client: m.client,
-                        vote,
+
+    /// Route one `NodeLoop` effect: remote sends are *staged* into the
+    /// per-peer outbox, self-sends go through the in-memory queue, and
+    /// decisions are buffered for the apply step. `Send.to` is an
+    /// instance-local *rank*, translated to a global node id through the
+    /// transaction's metadata.
+    fn sink<'a>(&'a mut self, meta: &'a Slab<TxnMeta>) -> impl FnMut(NodeEvent<M>) + 'a {
+        move |ev| match ev {
+            NodeEvent::Send { instance, to, msg } => {
+                let Some(&global) = meta.get(instance).and_then(|m| m.parts.get(to)) else {
+                    return;
+                };
+                if global == self.me {
+                    self.selfq.push_back((instance, msg));
+                } else {
+                    self.outbox[global].push(ToNode::Net {
+                        txn: instance,
+                        from: self.me,
+                        msg,
                     });
                 }
-                batch.push(WalRecord::Decide { txn: txn_id, value });
-                obs.record(Stage::WalJournal, t0.elapsed());
             }
-            obs.flight.record(
-                txn_id,
-                me as u32,
-                FlightStage::Decided,
-                Instant::now().saturating_duration_since(epoch),
-            );
-            decided_map.insert(txn_id, value);
-            log.push(NodeRecord {
-                txn: Arc::clone(&m.txn),
-                client: m.client,
-                vote,
-                decision: value,
+            NodeEvent::Decided { instance, value } => self.decided.push((instance, value)),
+        }
+    }
+
+    /// Stage a decision report to `client`.
+    fn report(&mut self, client: usize, txn: TxnId, decision: u64) {
+        if let Some(buf) = self.done_out.get_mut(client) {
+            buf.push(Done {
+                txn,
+                node: self.me,
+                decision,
             });
-            if let Some(buf) = done_out.get_mut(m.client) {
-                buf.push(Done {
-                    txn: txn_id,
-                    node: me,
-                    decision: value,
-                });
-            }
-            progress = true;
         }
-        // An apply in this pass may have released the very lock a
-        // blocked decision waits on — retry until quiescent.
-        if blocked.is_empty() || !progress {
-            *deferred = blocked;
-            break;
+    }
+
+    /// Stage a `StatusQ` for `txn` to every other participant.
+    fn ask_peers(&mut self, txn: TxnId, parts: &[usize]) {
+        for &q in parts.iter().filter(|&&q| q != self.me) {
+            self.outbox[q].push(ToNode::StatusQ { txn, from: self.me });
         }
-        *decided = blocked;
     }
 }
 
+/// Everything a crash destroys. A crash replaces the whole value with
+/// [`NodeState::new`]; a restart then rebuilds what the write-ahead log
+/// holds ([`Node::recover`]).
+struct NodeState<P: CommitProtocol> {
+    /// The instance demultiplexer: open instances and their timers.
+    engine: NodeLoop<P>,
+    shard: Shard,
+    /// txn -> (body, client, vote, participant routing); live while open.
+    meta: Slab<TxnMeta>,
+    /// Envelopes that outran their Begin (first few inline, no
+    /// allocation); senders recorded as global node ids, translated on
+    /// drain.
+    pending: Slab<InlineVec<(ProcessId, P::Msg)>>,
+    /// Per-client Begin watermark: the highest per-client sequence number
+    /// this node has opened. Each client's control stream is FIFO (one
+    /// channel sender per client), so a protocol envelope whose seq is at
+    /// or below the watermark and whose instance is not open belongs to an
+    /// *ended* (or crash-lost) transaction — a late straggler to drop; the
+    /// recovery path resolves crash-lost ones via client retries.
+    begun: Vec<u64>,
+    log: Vec<NodeRecord>,
+    /// Logless recovered commits waiting for a live lock owner to finish
+    /// before they can relock and apply (see [`NodeState::apply`]).
+    deferred: Vec<(TxnId, u64)>,
+    /// Decisions applied and not yet End-ed: answers StatusQ, deduplicates
+    /// retried Begins, survives into the recovery path via the WAL.
+    decided_map: HashMap<TxnId, u64>,
+    fx: Effects<P::Msg>,
+    /// Group-commit staging: records accumulated across this iteration's
+    /// dispatch (Begin prepares and applied decisions), forced into the
+    /// shared WAL **once** at the top of the flush step — before any
+    /// envelope or reply that depends on them can leave the node. A crash
+    /// loses the unforced tail, which by construction only ever covers
+    /// transactions whose votes/replies were never sent
+    /// (= unacknowledged).
+    wal_batch: Vec<WalRecord>,
+    /// Prepare txn ids staged in `wal_batch`, stamped `WalForced` when the
+    /// batch actually forces.
+    wal_stamp: Vec<TxnId>,
+}
+
+impl<P: CommitProtocol> NodeState<P> {
+    fn new(me: ProcessId, n: usize, clients: usize, unit: Duration) -> NodeState<P> {
+        NodeState {
+            engine: NodeLoop::new(me, n, UnitClock::new(unit)),
+            shard: Shard::new(me),
+            meta: Slab::new(),
+            pending: Slab::new(),
+            begun: vec![0; clients],
+            log: Vec::new(),
+            deferred: Vec::new(),
+            decided_map: HashMap::new(),
+            fx: Effects::new(me, n, clients),
+            wal_batch: Vec::new(),
+            wal_stamp: Vec::new(),
+        }
+    }
+
+    /// Raise `client`'s Begin watermark to `txn`'s sequence number.
+    fn note_begun(&mut self, client: usize, txn: TxnId) {
+        if let Some(w) = self.begun.get_mut(client) {
+            *w = (*w).max(txn_seq(txn));
+        }
+    }
+
+    /// Apply every buffered decision to the shard, the staged WAL batch
+    /// (when `journal`), the node log and the per-client reply batches.
+    /// Called once per node-loop iteration, and additionally before an
+    /// `End` garbage-collects a transaction's metadata (a decision and its
+    /// `End` can land in the same drained batch).
+    ///
+    /// Durability rides on group commit: records are **staged** here and
+    /// forced once per drain batch in the flush step — before any `Done`
+    /// staged here can leave the node — so the durability-before-reply
+    /// invariant is unchanged while the force cost is amortized.
+    ///
+    /// A logless commit for a crash-recovered transaction (no local
+    /// yes-vote, so no locks held) must re-take its write locks before the
+    /// writes can apply — but only when they are **free**. A different
+    /// live transaction may have prepared (voted yes, taken a lock) at
+    /// this node since the restart; overwriting its lock would make its
+    /// own later `finish` silently skip its writes — a lost update
+    /// diverging the live shard from the sequential replay. Such commits
+    /// wait in `deferred` until the owner decides and releases the lock
+    /// (every protocol in the suite terminates by timeout, so it does) and
+    /// are re-examined on every call. Startup WAL replay is the only place
+    /// an unconditional [`Shard::relock`] is sound: it runs before any
+    /// live traffic.
+    fn apply(&mut self, logless: bool, journal: bool, obs: &mut NodeObs, epoch: Instant) {
+        let mut decided = std::mem::take(&mut self.fx.decided);
+        // Deferred decisions are re-examined ahead of the new batch: the
+        // lock owner that blocked them may have finished since.
+        if !self.deferred.is_empty() {
+            self.deferred.append(&mut decided);
+            std::mem::swap(&mut decided, &mut self.deferred);
+        }
+        loop {
+            let mut progress = false;
+            let mut blocked: Vec<(TxnId, u64)> = Vec::new();
+            for (txn_id, value) in decided.drain(..) {
+                if self.decided_map.contains_key(&txn_id) {
+                    continue; // duplicate (e.g. StatusA raced the protocol decide)
+                }
+                let Some(m) = self.meta.get(txn_id) else {
+                    continue;
+                };
+                let commit = value == COMMIT;
+                // Logless vote reconstruction: a commit proves every
+                // participant voted yes (commit validity), so journal yes
+                // even if this node re-joined the transaction voteless
+                // after a crash — the protocol decided on the pre-crash
+                // yes its peers hold.
+                let vote = if logless { m.vote || commit } else { m.vote };
+                if logless && commit && !m.vote {
+                    // The pre-crash yes-vote's locks died with the crash
+                    // and the re-joined transaction holds none. Re-take
+                    // them only if no live transaction owns one (see the
+                    // fn docs).
+                    if self.shard.foreign_lock_owner(&m.txn).is_some() {
+                        blocked.push((txn_id, value));
+                        continue;
+                    }
+                    self.shard.relock(&m.txn);
+                }
+                self.shard.finish(&m.txn, commit);
+                if journal {
+                    let t0 = Instant::now();
+                    if logless {
+                        // The deferred prepare record: staged together
+                        // with the decision, after the outcome is known —
+                        // a journal entry, not a critical-path force.
+                        self.wal_batch.push(WalRecord::Prepare {
+                            txn: Arc::clone(&m.txn),
+                            client: m.client,
+                            vote,
+                        });
+                    }
+                    self.wal_batch
+                        .push(WalRecord::Decide { txn: txn_id, value });
+                    obs.record(Stage::WalJournal, t0.elapsed());
+                }
+                obs.flight.record(
+                    txn_id,
+                    self.fx.me as u32,
+                    FlightStage::Decided,
+                    Instant::now().saturating_duration_since(epoch),
+                );
+                self.decided_map.insert(txn_id, value);
+                self.log.push(NodeRecord {
+                    txn: Arc::clone(&m.txn),
+                    client: m.client,
+                    vote,
+                    decision: value,
+                });
+                self.fx.report(m.client, txn_id, value);
+                progress = true;
+            }
+            // An apply in this pass may have released the very lock a
+            // blocked decision waits on — retry until quiescent.
+            if blocked.is_empty() || !progress {
+                self.deferred = blocked;
+                break;
+            }
+            decided = blocked;
+        }
+        self.fx.decided = decided;
+    }
+}
+
+/// One node thread: the fixed environment, the volatile state a crash
+/// replaces, and the counters that outlive it.
+struct Node<P: CommitProtocol> {
+    env: NodeEnv<P>,
+    st: NodeState<P>,
+    /// Reused inbound drain buffer.
+    inbox: Vec<ToNode<P::Msg>>,
+    /// When the transport next releases a held-back envelope.
+    next_release: Option<Instant>,
+    /// Last durability point, for the optional time-based flush cap.
+    last_force: Instant,
+    crashed: bool,
+    shutdown: bool,
+    spurious_wakeups: usize,
+    orphaned_envelopes: usize,
+    wal_prepare_forces: usize,
+    wal_forces: usize,
+}
+
 /// One node thread: shard owner + instance demultiplexer, batched
-/// drain-then-dispatch, with fault-policy flush and crash/restart (see the
-/// module docs).
+/// drain-then-dispatch, with crash/restart (see the module docs).
 pub(crate) fn node_main<P>(env: NodeEnv<P>) -> NodeReturn
 where
     P: CommitProtocol,
     P::Msg: Send + 'static,
 {
-    let NodeEnv {
-        me,
-        n,
-        f,
-        unit,
-        epoch,
-        rx,
-        mut transport,
-        done_txs,
-        wire,
-        policy,
-        window,
-        wal,
-        wal_flush_interval,
-        logless,
-        mut obs,
-        obs_pull,
-    } = env;
-    let mut node: NodeLoop<P> = NodeLoop::new(me, n, UnitClock::new(unit));
-    let mut shard = Shard::new(me);
-    // txn -> (body, client, vote, participant routing); live while open.
-    let mut meta: Slab<TxnMeta> = Slab::new();
-    // Envelopes that outran their Begin (first few inline, no allocation);
-    // senders recorded as global node ids, translated on drain.
-    let mut pending: Slab<InlineVec<(ProcessId, P::Msg)>> = Slab::new();
-    // Per-client Begin watermark: the highest per-client sequence number
-    // this node has opened. Each client's control stream is FIFO (one
-    // channel sender per client), so a protocol envelope whose seq is at
-    // or below the watermark and whose instance is not open belongs to an
-    // *ended* (or crash-lost) transaction — a late straggler to drop; the
-    // recovery path resolves crash-lost ones via client retries.
-    let mut begun: Vec<u64> = vec![0; done_txs.len()];
-    let mut log: Vec<NodeRecord> = Vec::new();
-    let mut decided: Vec<(TxnId, u64)> = Vec::new();
-    // Logless recovered commits waiting for a live lock owner to finish
-    // before they can relock and apply (see `apply_decisions`).
-    let mut deferred: Vec<(TxnId, u64)> = Vec::new();
-    // Decisions applied and not yet End-ed: answers StatusQ, deduplicates
-    // retried Begins, survives into the recovery path via the WAL.
-    let mut decided_map: HashMap<TxnId, u64> = HashMap::new();
-    // Reused batch buffers: inbound drain, per-peer outbound envelopes,
-    // per-client decision replies, and the self-delivery queue.
-    let mut inbox: Vec<ToNode<P::Msg>> = Vec::with_capacity(NODE_BATCH);
-    let mut outbox: Vec<Vec<ToNode<P::Msg>>> = (0..n).map(|_| Vec::new()).collect();
-    let mut done_out: Vec<Vec<Done>> = (0..done_txs.len()).map(|_| Vec::new()).collect();
-    let mut selfq: VecDeque<(TxnId, P::Msg)> = VecDeque::new();
-    // Envelopes held back by Fate::Delay, released at their due instant.
-    let mut delayed: BinaryHeap<DelayedEnv<P::Msg>> = BinaryHeap::new();
-    // Per-destination envelope counters feeding the policy's seeded RNG.
-    let mut net_seq: Vec<u64> = vec![0; n];
-    let mut spurious_wakeups = 0usize;
-    let mut dropped_messages = 0usize;
-    let mut delayed_messages = 0usize;
-    let mut orphaned_envelopes = 0usize;
-    let mut wal_prepare_forces = 0usize;
-    let mut wal_forces = 0usize;
-    // Group-commit staging: records accumulated across this iteration's
-    // dispatch (Begin prepares and applied decisions), forced into the
-    // shared WAL **once** at the top of the flush step — before any
-    // envelope or reply that depends on them can leave the node. The
-    // buffer is node-thread state, i.e. *volatile*: a crash loses the
-    // unforced tail, which by construction only ever covers transactions
-    // whose votes/replies were never sent (= unacknowledged).
-    let mut wal_batch: Vec<WalRecord> = Vec::new();
-    // Prepare txn ids staged in `wal_batch`, stamped `WalForced` when the
-    // batch actually forces.
-    let mut wal_stamp: Vec<TxnId> = Vec::new();
-    // Last durability point, for the optional time-based flush cap.
-    let mut last_force = Instant::now();
-    let mut crashed = false;
-    let mut skip_wait = false;
-    let mut shutdown = false;
+    Node::new(env).run()
+}
 
-    // Route one NodeLoop effect: remote sends are *staged* into the
-    // per-peer outbox (flushed once per iteration as a batch, through the
-    // fault policy), self-sends go through the in-memory queue without
-    // touching any channel, and decisions are buffered and applied after
-    // the engine call returns. `Send.to` is an instance-local *rank*,
-    // translated to a global node id through the transaction's metadata.
-    macro_rules! sink {
-        () => {
-            |ev: NodeEvent<P::Msg>| match ev {
-                NodeEvent::Send { instance, to, msg } => {
-                    let Some(m) = meta.get(instance) else { return };
-                    let Some(&global) = m.parts.get(to) else {
-                        return;
-                    };
-                    if global == me {
-                        selfq.push_back((instance, msg));
-                    } else {
-                        outbox[global].push(ToNode::Net {
-                            txn: instance,
-                            from: me,
-                            msg,
-                        });
-                    }
-                }
-                NodeEvent::Decided { instance, value } => decided.push((instance, value)),
-            }
-        };
+impl<P> Node<P>
+where
+    P: CommitProtocol,
+    P::Msg: Send + 'static,
+{
+    fn new(env: NodeEnv<P>) -> Node<P> {
+        Node {
+            st: NodeState::new(env.me, env.n, env.done_txs.len(), env.unit),
+            env,
+            inbox: Vec::with_capacity(NODE_BATCH),
+            next_release: None,
+            last_force: Instant::now(),
+            crashed: false,
+            shutdown: false,
+            spurious_wakeups: 0,
+            orphaned_envelopes: 0,
+            wal_prepare_forces: 0,
+            wal_forces: 0,
+        }
     }
 
-    while !shutdown {
-        // 0. Scheduled crash: drop all volatile state, go dark until the
-        //    restart offset, then recover from the write-ahead log.
-        if let Some(w) = window {
-            if !crashed && Instant::now() >= epoch + w.down_after {
-                crashed = true;
-                node.reset();
-                meta = Slab::new();
-                pending = Slab::new();
-                decided.clear();
-                deferred.clear();
-                decided_map.clear();
-                selfq.clear();
-                delayed.clear();
-                for b in outbox.iter_mut() {
-                    b.clear();
-                }
-                for b in done_out.iter_mut() {
-                    b.clear();
-                }
-                log.clear();
-                shard = Shard::new(me);
-                begun.iter_mut().for_each(|w| *w = 0);
-                // The staged-but-unforced WAL tail is node-thread memory
-                // and dies with the crash: exactly the records whose
-                // dependent envelopes/replies never left the node, so
-                // only unacknowledged transactions are lost.
-                wal_batch.clear();
-                wal_stamp.clear();
-
-                // Dead window: every envelope sent to a dead node is lost.
-                let up_at = w.up_after.map(|u| epoch + u);
-                'dead: loop {
-                    inbox.clear();
-                    let got = match up_at {
-                        Some(t) => {
-                            let left = t.saturating_duration_since(Instant::now());
-                            if left.is_zero() {
-                                break 'dead;
-                            }
-                            match rx.recv_batch_timeout(&mut inbox, NODE_BATCH, left) {
-                                Ok(k) => k,
-                                Err(RecvTimeoutError::Timeout) => 0,
-                                Err(RecvTimeoutError::Disconnected) => {
-                                    shutdown = true;
-                                    break 'dead;
-                                }
-                            }
-                        }
-                        None => match rx.recv_batch(&mut inbox, NODE_BATCH) {
-                            Ok(k) => k,
-                            Err(RecvError) => {
-                                shutdown = true;
-                                break 'dead;
-                            }
-                        },
-                    };
-                    if got > 0 && inbox.drain(..).any(|e| matches!(e, ToNode::Shutdown)) {
-                        shutdown = true;
-                        break 'dead;
-                    }
-                }
-                if shutdown {
+    fn run(mut self) -> NodeReturn {
+        let mut skip_wait = false;
+        while !self.shutdown {
+            if self.crash_due() {
+                self.crash();
+                if !self.sit_out_downtime() {
                     break;
                 }
-                // Discard whatever piled up while dead (it was addressed to
-                // a dead node), then recover.
-                inbox.clear();
-                while rx.try_drain(&mut inbox, NODE_BATCH) > 0 {
-                    if inbox.drain(..).any(|e| matches!(e, ToNode::Shutdown)) {
-                        shutdown = true;
-                    }
-                }
-                if shutdown {
-                    break;
-                }
-                if let Some(wal) = &wal {
-                    let rec = wal.lock().expect("wal poisoned").replay(me);
-                    shard = rec.shard;
-                    let now = Instant::now();
-                    for d in &rec.decided {
-                        decided_map.insert(d.txn.id, d.value);
-                        if let Some(w) = begun.get_mut(d.client) {
-                            *w = (*w).max(txn_seq(d.txn.id));
-                        }
-                        log.push(NodeRecord {
-                            txn: Arc::clone(&d.txn),
-                            client: d.client,
-                            vote: d.vote,
-                            decision: d.value,
-                        });
-                        // Re-report: the pre-crash Done may never have been
-                        // flushed (clients deduplicate).
-                        if let Some(buf) = done_out.get_mut(d.client) {
-                            buf.push(Done {
-                                txn: d.txn.id,
-                                node: me,
-                                decision: d.value,
-                            });
-                        }
-                    }
-                    for p in rec.in_flight {
-                        let parts = participants_of(&p.txn, n);
-                        let Some(my_rank) = parts.iter().position(|&q| q == me) else {
-                            continue;
-                        };
-                        let k = parts.len();
-                        let f_eff = f.min(k - 1);
-                        if let Some(w) = begun.get_mut(p.client) {
-                            *w = (*w).max(txn_seq(p.txn.id));
-                        }
-                        let id = p.txn.id;
-                        // Ask peers whether the instance decided while we
-                        // were down; re-join it either way with the
-                        // *logged* vote (never re-validated — peers may
-                        // have acted on it).
-                        for &q in parts.iter().filter(|&&q| q != me) {
-                            outbox[q].push(ToNode::StatusQ { txn: id, from: me });
-                        }
-                        meta.insert(
-                            id,
-                            TxnMeta {
-                                txn: p.txn,
-                                client: p.client,
-                                vote: p.vote,
-                                parts,
-                                my_rank,
-                            },
-                        );
-                        node.open_as(
-                            id,
-                            P::new(my_rank, k, f_eff, p.vote),
-                            my_rank,
-                            k,
-                            now,
-                            &mut sink!(),
-                        );
-                    }
+                if let Some(wal) = self.env.wal.clone() {
+                    self.recover(&wal.lock().expect("wal poisoned"));
                 }
                 skip_wait = true; // flush recovery traffic immediately
             }
+            let Some(got) = self.drain(std::mem::take(&mut skip_wait)) else {
+                break;
+            };
+            // One clock read serves the whole batch: dispatch takes
+            // microseconds against multi-millisecond virtual-time units,
+            // and timers set "in the past" fire in the settle step anyway.
+            let now = Instant::now();
+            let mut inbox = std::mem::take(&mut self.inbox);
+            for env in inbox.drain(..) {
+                self.dispatch(env, now);
+            }
+            self.inbox = inbox;
+            if got > 0 {
+                // Backlog residency: how long the drained batch sat
+                // between leaving the inbox and finishing dispatch.
+                self.env.obs.record(Stage::DrainGap, now.elapsed());
+            }
+            let fired = self.settle();
+            self.apply();
+            let moved = self.flush();
+            self.account(got > 0 || fired || moved);
         }
+        self.finish()
+    }
 
-        // 1. Drain: park until the exact next deadline — earliest pending
-        //    timer, delayed-envelope release or scheduled crash; or
-        //    indefinitely when none is pending (an inbound envelope or
-        //    Shutdown wakes us) — then take the whole backlog in one lock
-        //    acquisition.
-        inbox.clear();
-        let mut wake_at: Option<Instant> = node.next_due();
-        if let Some(d) = delayed.peek() {
-            wake_at = Some(wake_at.map_or(d.due, |w| w.min(d.due)));
+    /// Whether the scheduled crash is due and has not happened yet.
+    fn crash_due(&self) -> bool {
+        let w = self.env.window;
+        w.is_some_and(|w| !self.crashed && Instant::now() >= self.env.epoch + w.down_after)
+    }
+
+    /// Drop all volatile state. The staged-but-unforced WAL tail and the
+    /// transport's held-back envelopes are node memory and die with it:
+    /// exactly what never left the node, so only unacknowledged
+    /// transactions are lost.
+    fn crash(&mut self) {
+        self.crashed = true;
+        self.fold_meters();
+        self.st = NodeState::new(
+            self.env.me,
+            self.env.n,
+            self.env.done_txs.len(),
+            self.env.unit,
+        );
+        self.env.transport.crash();
+    }
+
+    /// The dead window: every envelope sent to a dead node is lost. Waits
+    /// for the restart offset, then discards whatever piled up. Returns
+    /// `false` when the run ends first.
+    fn sit_out_downtime(&mut self) -> bool {
+        let up_at = self
+            .env
+            .window
+            .and_then(|w| w.up_after)
+            .map(|u| self.env.epoch + u);
+        while up_at.is_none_or(|t| Instant::now() < t) {
+            self.inbox.clear();
+            if self.recv(up_at).is_none() || self.drained_shutdown() {
+                return false;
+            }
+        }
+        self.inbox.clear();
+        let mut alive = true;
+        while self.env.rx.try_drain(&mut self.inbox, NODE_BATCH) > 0 {
+            alive &= !self.drained_shutdown();
+        }
+        alive
+    }
+
+    /// Empty the inbox, reporting whether it held a `Shutdown`.
+    fn drained_shutdown(&mut self) -> bool {
+        self.inbox.drain(..).any(|e| matches!(e, ToNode::Shutdown))
+    }
+
+    /// Park until `until` (indefinitely when `None`) or until traffic
+    /// arrives, and take the backlog into the inbox. `None` = every sender
+    /// is gone.
+    fn recv(&mut self, until: Option<Instant>) -> Option<usize> {
+        let rx = &self.env.rx;
+        match until {
+            Some(due) => {
+                let wait = due.saturating_duration_since(Instant::now());
+                match rx.recv_batch_timeout(&mut self.inbox, NODE_BATCH, wait) {
+                    Ok(k) => Some(k),
+                    Err(RecvTimeoutError::Timeout) => Some(0),
+                    Err(RecvTimeoutError::Disconnected) => None,
+                }
+            }
+            None => rx.recv_batch(&mut self.inbox, NODE_BATCH).ok(),
+        }
+    }
+
+    /// Rebuild the volatile state from the write-ahead log: the committed
+    /// shard, the decision log and the client watermarks; decision reports
+    /// re-sent (the pre-crash `Done` may never have been flushed; clients
+    /// deduplicate); and every prepared but undecided transaction re-joined
+    /// with its locks, a `StatusQ` round asking peers whether it decided
+    /// meanwhile, and a protocol instance voting the *logged* vote (never
+    /// re-validated — peers may have acted on it).
+    fn recover(&mut self, wal: &Wal) {
+        let rec = wal.replay(self.env.me);
+        let now = Instant::now();
+        self.st.shard = rec.shard;
+        for d in &rec.decided {
+            self.st.decided_map.insert(d.txn.id, d.value);
+            self.st.note_begun(d.client, d.txn.id);
+            self.st.log.push(NodeRecord {
+                txn: Arc::clone(&d.txn),
+                client: d.client,
+                vote: d.vote,
+                decision: d.value,
+            });
+            self.st.fx.report(d.client, d.txn.id, d.value);
+        }
+        for p in rec.in_flight {
+            let parts = participants_of(&p.txn, self.env.n);
+            let Some(my_rank) = parts.iter().position(|&q| q == self.env.me) else {
+                continue;
+            };
+            self.st.note_begun(p.client, p.txn.id);
+            self.st.fx.ask_peers(p.txn.id, &parts);
+            let meta = TxnMeta {
+                txn: p.txn,
+                client: p.client,
+                vote: p.vote,
+                parts,
+                my_rank,
+            };
+            self.open(meta, now);
+        }
+    }
+
+    /// 1. Drain: park until the exact next deadline — earliest pending
+    ///    timer, transport release, group-commit cap or scheduled crash;
+    ///    or indefinitely when none is pending (an inbound envelope or
+    ///    Shutdown wakes us) — then take the whole backlog in one lock
+    ///    acquisition. `None` = every sender is gone.
+    fn drain(&mut self, skip_wait: bool) -> Option<usize> {
+        self.inbox.clear();
+        if skip_wait {
+            return Some(self.env.rx.try_drain(&mut self.inbox, NODE_BATCH));
         }
         // A held-back staged WAL batch must force (and release the flush
         // it gates) no later than the time cap.
-        if let Some(iv) = wal_flush_interval {
-            if !wal_batch.is_empty() {
-                let at = last_force + iv;
-                wake_at = Some(wake_at.map_or(at, |x| x.min(at)));
-            }
-        }
-        if let Some(w) = window {
-            if !crashed {
-                let at = epoch + w.down_after;
-                wake_at = Some(wake_at.map_or(at, |x| x.min(at)));
-            }
-        }
-        let got = if skip_wait {
-            skip_wait = false;
-            rx.try_drain(&mut inbox, NODE_BATCH)
-        } else {
-            match wake_at {
-                Some(due) => {
-                    let wait = due.saturating_duration_since(Instant::now());
-                    match rx.recv_batch_timeout(&mut inbox, NODE_BATCH, wait) {
-                        Ok(k) => k,
-                        Err(RecvTimeoutError::Timeout) => 0,
-                        Err(RecvTimeoutError::Disconnected) => break,
+        let cap = self.env.wal_flush_interval;
+        let force_by = cap
+            .filter(|_| !self.st.wal_batch.is_empty())
+            .map(|iv| self.last_force + iv);
+        let crash_at = self
+            .env
+            .window
+            .filter(|_| !self.crashed)
+            .map(|w| self.env.epoch + w.down_after);
+        let wake_at = [
+            self.st.engine.next_due(),
+            self.next_release,
+            force_by,
+            crash_at,
+        ]
+        .into_iter()
+        .flatten()
+        .min();
+        self.recv(wake_at)
+    }
+
+    /// 2. Dispatch one envelope through the demultiplexer.
+    fn dispatch(&mut self, env: ToNode<P::Msg>, now: Instant) {
+        let (me, n) = (self.env.me, self.env.n);
+        match env {
+            ToNode::Begin { txn, client, retry } => self.begin(txn, client, retry, now),
+            ToNode::Net { txn, from, msg } => self.deliver(txn, from, msg, now),
+            ToNode::StatusQ { txn, from } => {
+                // Undecided or unknown: stay silent; the querier keeps its
+                // own protocol instance (or its client's retries) as the
+                // fallback.
+                if let Some(&value) = self.st.decided_map.get(&txn) {
+                    if from < n && from != me {
+                        self.st.fx.outbox[from].push(ToNode::StatusA { txn, value });
                     }
                 }
-                None => match rx.recv_batch(&mut inbox, NODE_BATCH) {
-                    Ok(k) => k,
-                    Err(RecvError) => break,
-                },
             }
+            ToNode::StatusA { txn, value } => {
+                // Adopt a peer's decision for an open, undecided instance
+                // — or for a voteless recovered transaction that
+                // deliberately has no instance at all (the logless
+                // ask-before-revote path). Agreement makes adoption safe;
+                // closing the automaton (when one exists) keeps it from
+                // deciding a second time later.
+                let st = &mut self.st;
+                if st.meta.contains(txn)
+                    && !st.decided_map.contains_key(&txn)
+                    && !st.fx.decided.iter().any(|&(t, _)| t == txn)
+                    && !st.deferred.iter().any(|&(t, _)| t == txn)
+                {
+                    st.engine.close(txn);
+                    st.fx.decided.push((txn, value));
+                }
+            }
+            ToNode::End { txn } => {
+                // A decision for `txn` computed earlier in this same
+                // drained batch is still buffered — apply it before
+                // dropping the metadata, or the shard would keep its write
+                // locks forever.
+                if !self.st.fx.decided.is_empty() {
+                    self.apply();
+                }
+                self.st.engine.close(txn);
+                self.st.meta.remove(txn);
+                self.st.pending.remove(txn);
+                self.st.decided_map.remove(&txn);
+            }
+            ToNode::ObsPull { client } => {
+                // Snapshot what the thread has recorded so far. The bulk
+                // fold-ins (lock residency, timer lag, socket-write time)
+                // land at node exit, so a mid-run pull sees the flight
+                // recorder and histograms — all attribution needs — with
+                // meters still accruing.
+                if let Some(tx) = &self.env.obs_pull {
+                    let export = ObsExport::snapshot(me as u32, &self.env.obs, None);
+                    let _ = tx.send((client, export));
+                }
+            }
+            ToNode::Shutdown => self.shutdown = true,
+        }
+    }
+
+    /// A client submits (or re-submits) `txn`.
+    fn begin(&mut self, txn: Arc<Transaction>, client: usize, retry: bool, now: Instant) {
+        let (me, epoch) = (self.env.me, self.env.epoch);
+        let id = txn.id;
+        debug_assert_eq!(txn_client(id), client, "TxnId encoding drifted");
+        let st = &mut self.st;
+        if let Some(m) = st.meta.get(id) {
+            // A client retry of a live instance. Decided: just re-report.
+            // Undecided: cooperative termination — ask the other
+            // participants whether they decided (a partition may have
+            // eaten the outcome; for 2PC this is the only way a blocked
+            // participant ever learns a decision the coordinator reached).
+            match st.decided_map.get(&id) {
+                Some(&v) => st.fx.report(client, id, v),
+                None => st.fx.ask_peers(id, &m.parts),
+            }
+            return;
+        }
+        if let Some(&v) = st.decided_map.get(&id) {
+            // Decided before a crash, recovered from the WAL.
+            st.fx.report(client, id, v);
+            return;
+        }
+        let parts = participants_of(&txn, self.env.n);
+        let Some(my_rank) = parts.iter().position(|&q| q == me) else {
+            return; // not a participant: not ours to vote on
         };
+        st.note_begun(client, id);
+        if self.env.logless && retry {
+            // Ask-before-revote (the Cornus recovery rule). A *retried*
+            // Begin with no local record means this node either crashed
+            // after voting — the logless vote was volatile and is gone —
+            // or was down when the original Begin arrived. Either way,
+            // validating afresh could broadcast a vote contradicting a
+            // pre-crash yes that peers already assembled into a commit: a
+            // split decision. So the node never re-votes. It re-joins the
+            // transaction voteless and with no protocol instance, asks the
+            // peers, and adopts whatever decision the surviving vote
+            // vectors produced (`StatusA`). Peers missing this node's vote
+            // timeout-abort on their own, so some peer always has an
+            // answer for a later retry round.
+            st.fx.ask_peers(id, &parts);
+            let meta = TxnMeta {
+                txn,
+                client,
+                vote: false,
+                parts,
+                my_rank,
+            };
+            st.meta.insert(id, meta);
+            return;
+        }
+        let obs = &mut self.env.obs;
+        let since = |at: Instant| at.saturating_duration_since(epoch);
+        obs.flight
+            .record(id, me as u32, FlightStage::Dispatch, since(now));
+        let vote = if txn.touches(me) {
+            let t0 = Instant::now();
+            let v = st.shard.prepare(&txn);
+            obs.record(Stage::LockAcquire, t0.elapsed());
+            v
+        } else {
+            true
+        };
+        obs.flight.record(
+            id,
+            me as u32,
+            FlightStage::LockAcquired,
+            since(Instant::now()),
+        );
+        // The classic commit-latency tax: the vote must be durable before
+        // it can influence a decision. Group commit keeps the invariant
+        // but moves the cost: the prepare is *staged* here and forced —
+        // together with everything else this drain batch staged — at the
+        // top of the flush step, strictly before the vote envelope leaves
+        // the node. A logless protocol replicates the vote to its peers
+        // instead and skips even the staging — the prepare is journaled
+        // later, alongside the decision, off the critical path.
+        if !self.env.logless && self.env.wal.is_some() {
+            st.wal_batch.push(WalRecord::Prepare {
+                txn: Arc::clone(&txn),
+                client,
+                vote,
+            });
+            st.wal_stamp.push(id);
+            self.wal_prepare_forces += 1;
+        }
+        let meta = TxnMeta {
+            txn,
+            client,
+            vote,
+            parts,
+            my_rank,
+        };
+        self.open(meta, now);
+    }
 
-        // 2. Dispatch every envelope through the demultiplexer. One clock
-        //    read serves the whole batch: dispatch takes microseconds
-        //    against multi-millisecond virtual-time units, and timers set
-        //    "in the past" fire in step 3 anyway.
-        let now = Instant::now();
-        for env in inbox.drain(..) {
-            match env {
-                ToNode::Begin { txn, client, retry } => {
-                    let id = txn.id;
-                    debug_assert_eq!(txn_client(id), client, "TxnId encoding drifted");
-                    if let Some(m) = meta.get(id) {
-                        // A client retry of a live instance. Decided: just
-                        // re-report. Undecided: cooperative termination —
-                        // ask the other participants whether they decided
-                        // (a partition may have eaten the outcome; for 2PC
-                        // this is the only way a blocked participant ever
-                        // learns a decision the coordinator reached).
-                        match decided_map.get(&id) {
-                            Some(&v) => {
-                                if let Some(buf) = done_out.get_mut(client) {
-                                    buf.push(Done {
-                                        txn: id,
-                                        node: me,
-                                        decision: v,
-                                    });
-                                }
-                            }
-                            None => {
-                                for &q in m.parts.iter().filter(|&&q| q != me) {
-                                    outbox[q].push(ToNode::StatusQ { txn: id, from: me });
-                                }
-                            }
-                        }
-                    } else if let Some(&v) = decided_map.get(&id) {
-                        // Decided before a crash, recovered from the WAL.
-                        if let Some(buf) = done_out.get_mut(client) {
-                            buf.push(Done {
-                                txn: id,
-                                node: me,
-                                decision: v,
-                            });
-                        }
-                    } else {
-                        let parts = participants_of(&txn, n);
-                        let Some(my_rank) = parts.iter().position(|&q| q == me) else {
-                            continue; // not a participant: not ours to vote on
-                        };
-                        if logless && retry {
-                            // Ask-before-revote (the Cornus recovery
-                            // rule). A *retried* Begin with no local
-                            // record means this node either crashed
-                            // after voting — the logless vote was
-                            // volatile and is gone — or was down when
-                            // the original Begin arrived. Either way,
-                            // validating afresh could broadcast a vote
-                            // contradicting a pre-crash yes that peers
-                            // already assembled into a commit: a split
-                            // decision. So the node never re-votes. It
-                            // re-joins the transaction voteless and
-                            // with no protocol instance, asks the
-                            // peers, and adopts whatever decision the
-                            // surviving vote vectors produced
-                            // (`StatusA`). Peers missing this node's
-                            // vote timeout-abort on their own, so some
-                            // peer always has an answer for a later
-                            // retry round.
-                            if let Some(w) = begun.get_mut(client) {
-                                *w = (*w).max(txn_seq(id));
-                            }
-                            for &q in parts.iter().filter(|&&q| q != me) {
-                                outbox[q].push(ToNode::StatusQ { txn: id, from: me });
-                            }
-                            meta.insert(
-                                id,
-                                TxnMeta {
-                                    txn,
-                                    client,
-                                    vote: false,
-                                    parts,
-                                    my_rank,
-                                },
-                            );
-                            continue;
-                        }
-                        obs.flight.record(
-                            id,
-                            me as u32,
-                            FlightStage::Dispatch,
-                            now.saturating_duration_since(epoch),
-                        );
-                        let vote = if txn.touches(me) {
-                            let t0 = Instant::now();
-                            let v = shard.prepare(&txn);
-                            obs.record(Stage::LockAcquire, t0.elapsed());
-                            v
-                        } else {
-                            true
-                        };
-                        obs.flight.record(
-                            id,
-                            me as u32,
-                            FlightStage::LockAcquired,
-                            Instant::now().saturating_duration_since(epoch),
-                        );
-                        // The classic commit-latency tax: the vote must be
-                        // durable before it can influence a decision.
-                        // Group commit keeps the invariant but moves the
-                        // cost: the prepare is *staged* here and forced —
-                        // together with everything else this drain batch
-                        // staged — at the top of the flush step, strictly
-                        // before the vote envelope leaves the node. A
-                        // logless protocol replicates the vote to its
-                        // peers instead and skips even the staging — the
-                        // prepare is journaled later, alongside the
-                        // decision, off the critical path.
-                        if !logless && wal.is_some() {
-                            wal_batch.push(WalRecord::Prepare {
-                                txn: Arc::clone(&txn),
-                                client,
-                                vote,
-                            });
-                            wal_stamp.push(id);
-                            wal_prepare_forces += 1;
-                        }
-                        if let Some(w) = begun.get_mut(client) {
-                            *w = (*w).max(txn_seq(id));
-                        }
-                        let k = parts.len();
-                        let f_eff = f.min(k - 1);
-                        let parts_c = parts.clone();
-                        meta.insert(
-                            id,
-                            TxnMeta {
-                                txn,
-                                client,
-                                vote,
-                                parts,
-                                my_rank,
-                            },
-                        );
-                        node.open_as(
-                            id,
-                            P::new(my_rank, k, f_eff, vote),
-                            my_rank,
-                            k,
-                            now,
-                            &mut sink!(),
-                        );
-                        if let Some(early) = pending.remove(id) {
-                            for (from_global, msg) in early {
-                                if let Some(rk) = parts_c.iter().position(|&q| q == from_global) {
-                                    let _ = node.deliver(id, rk, msg, now, &mut sink!());
-                                }
-                            }
-                        }
-                    }
-                }
-                ToNode::Net { txn, from, msg } => {
-                    // Translate the sender's global id to its instance
-                    // rank; `offer` then resolves the instance in one slab
-                    // probe. A miss with metadata present means the
-                    // instance already concluded locally (e.g. a StatusA
-                    // adoption closed it) — the straggler is moot. Without
-                    // metadata it is either early (seq above the client's
-                    // watermark: buffer it) or ended (drop it).
-                    let rank = meta
-                        .get(txn)
-                        .and_then(|m| m.parts.iter().position(|&q| q == from));
-                    match rank {
-                        Some(rk) => {
-                            let _ = node.offer(txn, rk, msg, now, &mut sink!());
-                        }
-                        None if !meta.contains(txn) => {
-                            let early =
-                                begun.get(txn_client(txn)).is_none_or(|&w| txn_seq(txn) > w);
-                            if early {
-                                match pending.get_mut(txn) {
-                                    Some(buf) if buf.len() >= ORPHAN_CAP => {
-                                        // Bounded pre-open buffering: a
-                                        // flood of envelopes outrunning
-                                        // their Begin must not grow
-                                        // memory without limit.
-                                        orphaned_envelopes += 1;
-                                    }
-                                    Some(buf) => buf.push((from, msg)),
-                                    None => {
-                                        let mut buf = InlineVec::new();
-                                        buf.push((from, msg));
-                                        pending.insert(txn, buf);
-                                    }
-                                }
-                            }
-                        }
-                        None => {} // sender is not a participant: drop
-                    }
-                }
-                ToNode::StatusQ { txn, from } => {
-                    if let Some(&v) = decided_map.get(&txn) {
-                        if from < n && from != me {
-                            outbox[from].push(ToNode::StatusA { txn, value: v });
-                        }
-                    }
-                    // Undecided or unknown: stay silent; the querier keeps
-                    // its own protocol instance (or its client's retries)
-                    // as the fallback.
-                }
-                ToNode::StatusA { txn, value } => {
-                    // Adopt a peer's decision for an open, undecided
-                    // instance — or for a voteless recovered transaction
-                    // that deliberately has no instance at all (the
-                    // logless ask-before-revote path). Agreement makes
-                    // adoption safe; closing the automaton (when one
-                    // exists) keeps it from deciding a second time later.
-                    if meta.contains(txn)
-                        && !decided_map.contains_key(&txn)
-                        && !decided.iter().any(|&(t, _)| t == txn)
-                        && !deferred.iter().any(|&(t, _)| t == txn)
-                    {
-                        node.close(txn);
-                        decided.push((txn, value));
-                    }
-                }
-                ToNode::End { txn } => {
-                    // A decision for `txn` computed earlier in this same
-                    // drained batch is still buffered — apply it before
-                    // dropping the metadata, or the shard would keep its
-                    // write locks forever.
-                    if !decided.is_empty() {
-                        apply_decisions(
-                            &mut decided,
-                            &mut deferred,
-                            &meta,
-                            &mut shard,
-                            &mut log,
-                            &mut done_out,
-                            me,
-                            wal.is_some().then_some(&mut wal_batch),
-                            &mut decided_map,
-                            logless,
-                            &mut obs,
-                            epoch,
-                        );
-                    }
-                    node.close(txn);
-                    meta.remove(txn);
-                    pending.remove(txn);
-                    decided_map.remove(&txn);
-                }
-                ToNode::ObsPull { client } => {
-                    // Snapshot what the thread has recorded so far. The
-                    // bulk fold-ins below (lock residency, timer lag,
-                    // socket-write time) land at node exit, so a mid-run
-                    // pull sees the flight recorder and histograms — all
-                    // attribution needs — with meters still accruing.
-                    if let Some(tx) = &obs_pull {
-                        let export = ObsExport::snapshot(me as u32, &obs, None);
-                        let _ = tx.send((client, export));
-                    }
-                }
-                ToNode::Shutdown => shutdown = true,
+    /// Record `m` and open its protocol instance voting `m.vote`, then
+    /// hand it the envelopes that outran its Begin.
+    fn open(&mut self, m: TxnMeta, now: Instant) {
+        let id = m.txn.id;
+        let (rank, k) = (m.my_rank, m.parts.len());
+        let automaton = P::new(rank, k, self.env.f.min(k - 1), m.vote);
+        let st = &mut self.st;
+        st.meta.insert(id, m);
+        st.engine
+            .open_as(id, automaton, rank, k, now, &mut st.fx.sink(&st.meta));
+        for (from, msg) in st.pending.remove(id).into_iter().flatten() {
+            let rank = st
+                .meta
+                .get(id)
+                .and_then(|m| m.parts.iter().position(|&q| q == from));
+            if let Some(rk) = rank {
+                let _ = st
+                    .engine
+                    .deliver(id, rk, msg, now, &mut st.fx.sink(&st.meta));
             }
         }
-        if got > 0 {
-            // Backlog residency: how long the drained batch sat between
-            // leaving the inbox and finishing protocol dispatch.
-            obs.record(Stage::DrainGap, now.elapsed());
-        }
+    }
 
-        // 3. Self-deliveries and due timers, to quiescence: a delivery can
-        //    set a timer already due, a fired timer can self-send. Timers
-        //    fire **one at a time** with the self-queue drained between
-        //    fires: a starved thread can owe a protocol both its 1U and 2U
-        //    timers at once, and the 2U handler must see the self-sends
-        //    the 1U handler produced (per-process causality — the split
-        //    INBAC decisions of ISSUE-5's chaos bring-up came from firing
-        //    them back to back).
+    /// A protocol envelope from node `from`. The sender's global id is
+    /// translated to its instance rank; `offer` then resolves the instance
+    /// in one slab probe. A miss with metadata present means the instance
+    /// already concluded locally (e.g. a StatusA adoption closed it) — the
+    /// straggler is moot. Without metadata it is either early (seq above
+    /// the client's watermark: buffer it) or ended (drop it).
+    fn deliver(&mut self, txn: TxnId, from: ProcessId, msg: P::Msg, now: Instant) {
+        let st = &mut self.st;
+        let Some(m) = st.meta.get(txn) else {
+            let early = st
+                .begun
+                .get(txn_client(txn))
+                .is_none_or(|&w| txn_seq(txn) > w);
+            if !early {
+                return;
+            }
+            match st.pending.get_mut(txn) {
+                // Bounded pre-open buffering: a flood of envelopes
+                // outrunning their Begin must not grow memory without
+                // limit.
+                Some(buf) if buf.len() >= ORPHAN_CAP => self.orphaned_envelopes += 1,
+                Some(buf) => buf.push((from, msg)),
+                None => {
+                    let mut buf = InlineVec::new();
+                    buf.push((from, msg));
+                    st.pending.insert(txn, buf);
+                }
+            }
+            return;
+        };
+        // A sender that is not a participant is dropped.
+        if let Some(rk) = m.parts.iter().position(|&q| q == from) {
+            let _ = st
+                .engine
+                .offer(txn, rk, msg, now, &mut st.fx.sink(&st.meta));
+        }
+    }
+
+    /// 3. Self-deliveries and due timers, to quiescence: a delivery can set
+    ///    a timer already due, a fired timer can self-send. Timers fire
+    ///    **one at a time** with the self-queue drained between fires: a
+    ///    starved thread can owe a protocol both its 1U and 2U timers at
+    ///    once, and the 2U handler must see the self-sends the 1U handler
+    ///    produced (per-process causality). Returns whether a timer fired.
+    fn settle(&mut self) -> bool {
+        let st = &mut self.st;
         let mut fired_any = false;
         loop {
             let now = Instant::now();
-            while let Some((txn, msg)) = selfq.pop_front() {
+            while let Some((txn, msg)) = st.fx.selfq.pop_front() {
                 // A miss means the instance ended mid-batch; the message
-                // is then moot (the old dropped-late-envelope semantics).
-                let rank = meta.get(txn).map(|m| m.my_rank);
-                if let Some(rk) = rank {
-                    let _ = node.deliver(txn, rk, msg, now, &mut sink!());
+                // is then moot.
+                if let Some(rk) = st.meta.get(txn).map(|m| m.my_rank) {
+                    let _ = st
+                        .engine
+                        .deliver(txn, rk, msg, now, &mut st.fx.sink(&st.meta));
                 }
             }
-            if node.fire_next(now, &mut sink!()) {
+            if st.engine.fire_next(now, &mut st.fx.sink(&st.meta)) {
                 fired_any = true;
-            } else if selfq.is_empty() {
-                break;
+            } else if st.fx.selfq.is_empty() {
+                return fired_any;
             }
         }
+    }
 
-        // 4. Apply buffered decisions outside the engine borrow and stage
-        //    the per-client replies.
-        apply_decisions(
-            &mut decided,
-            &mut deferred,
-            &meta,
-            &mut shard,
-            &mut log,
-            &mut done_out,
-            me,
-            wal.is_some().then_some(&mut wal_batch),
-            &mut decided_map,
-            logless,
-            &mut obs,
-            epoch,
-        );
+    /// 4. Apply buffered decisions outside the engine borrow and stage the
+    ///    per-client replies.
+    fn apply(&mut self) {
+        let env = &mut self.env;
+        self.st
+            .apply(env.logless, env.wal.is_some(), &mut env.obs, env.epoch);
+    }
 
-        // 5. Flush. Delay-released envelopes first (already judged by the
-        //    policy — they bypass it; their dependent records were forced
-        //    the iteration that staged them), then the group-commit WAL
-        //    force, then one send_batch (one lock, at most one wakeup)
-        //    per destination with traffic this iteration, each envelope
-        //    passing through the fault policy.
+    /// 5. Flush. The transport's due delayed releases go out first (already
+    ///    judged — they bypass the policy; their dependent records were
+    ///    forced the iteration that staged them), then the group-commit WAL
+    ///    force, then one `send_batch` (one lock, at most one wakeup) per
+    ///    destination with traffic this iteration. Returns whether anything
+    ///    left the node or became durable.
+    fn flush(&mut self) -> bool {
         let flush_now = Instant::now();
-        let mut released = 0usize;
-        let mut flushed = 0usize;
-        let mut forced = 0usize;
-        while delayed.peek().is_some_and(|d| d.due <= flush_now) {
-            let d = delayed.pop().expect("peeked");
-            wire.fetch_add(1, Ordering::Relaxed);
-            transport.send(d.to, d.env);
-            released += 1;
+        let released = self.env.transport.release_due(flush_now);
+        let mut wire = released.sent;
+        self.next_release = released.next_due;
+        let mut replies = 0;
+        // The optional time cap holds the force (and the flush it gates)
+        // back so a single force can absorb several drain batches; a held
+        // batch is volatile, so nothing staged may escape until it forces.
+        // Shutdown always forces: the post-run audit reads the WAL.
+        let hold = self.env.wal_flush_interval.is_some_and(|iv| {
+            !self.st.wal_batch.is_empty() && !self.shutdown && self.last_force.elapsed() < iv
+        });
+        let forced = !hold && self.force();
+        if !hold {
+            for (to, batch) in self.st.fx.outbox.iter_mut().enumerate() {
+                if !batch.is_empty() {
+                    wire += self.env.transport.send_batch(to, batch);
+                }
+            }
+            for (client, batch) in self.st.fx.done_out.iter_mut().enumerate() {
+                if !batch.is_empty() {
+                    replies += batch.len();
+                    let _ = self.env.done_txs[client].send_batch(batch.drain(..));
+                }
+            }
+            // A delay verdict in this flush may have set an earlier next
+            // release.
+            let late = self.env.transport.release_due(flush_now);
+            wire += late.sent;
+            self.next_release = late.next_due;
         }
+        if wire > 0 {
+            self.env.wire.fetch_add(wire, Ordering::Relaxed);
+        }
+        if wire + replies > 0 {
+            self.env.obs.record(Stage::Flush, flush_now.elapsed());
+        }
+        wire + replies > 0 || forced
+    }
 
-        // 5a. Group commit: everything this iteration staged — Begin-path
-        //     prepares and applied decisions — becomes durable in **one**
-        //     force, strictly before any envelope or client reply that
-        //     depends on it leaves the node. The optional time cap holds
-        //     the force (and the flush it gates) back so a single force
-        //     can absorb several drain batches; a held batch is volatile,
-        //     so nothing staged may escape until it forces. Shutdown
-        //     always forces: the post-run audit reads the WAL.
-        let hold = wal_flush_interval
-            .is_some_and(|iv| !wal_batch.is_empty() && !shutdown && last_force.elapsed() < iv);
-        if !wal_batch.is_empty() && !hold {
-            if let Some(wal) = &wal {
-                let t0 = Instant::now();
-                wal.lock()
-                    .expect("wal poisoned")
-                    .force_batch(&mut wal_batch);
-                obs.record(Stage::WalForce, t0.elapsed());
-                let at = Instant::now().saturating_duration_since(epoch);
-                for id in wal_stamp.drain(..) {
-                    obs.flight.record(id, me as u32, FlightStage::WalForced, at);
-                }
-                wal_forces += 1;
-                forced = 1;
-                last_force = Instant::now();
-            } else {
-                // No WAL to force into (cleared on a crash-less path
-                // only when durability is off, where nothing stages).
-                wal_batch.clear();
-                wal_stamp.clear();
-            }
+    /// 5a. Group commit: everything this iteration staged — Begin-path
+    ///     prepares and applied decisions — becomes durable in **one**
+    ///     force, strictly before any envelope or client reply that
+    ///     depends on it leaves the node. Records are staged only when the
+    ///     node has a WAL. Returns whether a force happened.
+    fn force(&mut self) -> bool {
+        let Some(wal) = &self.env.wal else {
+            return false;
+        };
+        if self.st.wal_batch.is_empty() {
+            return false;
         }
-        if hold {
-            // Everything staged this iteration waits on the capped force;
-            // only the already-durable delayed releases went out.
-            if released > 0 {
-                obs.record(Stage::Flush, flush_now.elapsed());
-            }
-            let crash_pending =
-                window.is_some_and(|w| !crashed && Instant::now() >= epoch + w.down_after);
-            if got == 0 && !fired_any && released == 0 && !shutdown && !crash_pending {
-                spurious_wakeups += 1;
-            }
-            continue;
+        let t0 = Instant::now();
+        wal.lock()
+            .expect("wal poisoned")
+            .force_batch(&mut self.st.wal_batch);
+        let obs = &mut self.env.obs;
+        obs.record(Stage::WalForce, t0.elapsed());
+        let at = Instant::now().saturating_duration_since(self.env.epoch);
+        for id in self.st.wal_stamp.drain(..) {
+            obs.flight
+                .record(id, self.env.me as u32, FlightStage::WalForced, at);
         }
-        let elapsed = flush_now.saturating_duration_since(epoch);
-        for (to, batch) in outbox.iter_mut().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            match &policy {
-                None => {
-                    wire.fetch_add(batch.len(), Ordering::Relaxed);
-                    flushed += batch.len();
-                    transport.send_batch(to, batch);
-                }
-                Some(pol) => {
-                    let mut staged: Vec<ToNode<P::Msg>> = Vec::with_capacity(batch.len());
-                    for env in batch.drain(..) {
-                        let seq = net_seq[to];
-                        net_seq[to] += 1;
-                        match pol.fate(me, to, elapsed, seq) {
-                            Fate::Deliver => staged.push(env),
-                            Fate::Drop => dropped_messages += 1,
-                            Fate::Delay(d) => {
-                                delayed_messages += 1;
-                                delayed.push(DelayedEnv {
-                                    due: flush_now + d,
-                                    seq,
-                                    to,
-                                    env,
-                                });
-                            }
-                        }
-                    }
-                    if !staged.is_empty() {
-                        wire.fetch_add(staged.len(), Ordering::Relaxed);
-                        flushed += staged.len();
-                        transport.send_batch(to, &mut staged);
-                    }
-                }
-            }
-        }
-        for (client, batch) in done_out.iter_mut().enumerate() {
-            if !batch.is_empty() {
-                flushed += batch.len();
-                let _ = done_txs[client].send_batch(batch.drain(..));
-            }
-        }
-        if released + flushed > 0 {
-            obs.record(Stage::Flush, flush_now.elapsed());
-        }
+        self.wal_forces += 1;
+        self.last_force = Instant::now();
+        true
+    }
 
-        // 6. Accounting: a wakeup that moved nothing — no inbound batch,
-        //    no fired timer, no WAL force, no outbound flush (the
-        //    recovery iteration flushes StatusQ/Done batches with
-        //    got == 0, which is real work) — was spurious, unless it woke
-        //    us for a scheduled crash the next loop top handles.
-        let crash_pending =
-            window.is_some_and(|w| !crashed && Instant::now() >= epoch + w.down_after);
-        if got == 0
-            && !fired_any
-            && released == 0
-            && flushed == 0
-            && forced == 0
-            && !shutdown
-            && !crash_pending
-        {
-            spurious_wakeups += 1;
+    /// 6. Accounting: a wakeup that moved nothing — no inbound batch, no
+    ///    fired timer, no WAL force, no outbound flush (the recovery
+    ///    iteration flushes StatusQ/Done batches with nothing drained,
+    ///    which is real work) — was spurious, unless it woke us for a
+    ///    scheduled crash the next loop top handles.
+    fn account(&mut self, worked: bool) {
+        if !worked && !self.shutdown && !self.crash_due() {
+            self.spurious_wakeups += 1;
         }
     }
-    // A node that dies without restarting still answers the audit with its
-    // durable state: what the WAL can rebuild *is* its state. In-flight
-    // yes-vote locks are durably recorded (a future restart would re-hold
-    // them) but are *released* in this final report: those transactions
-    // are already counted as stalled at the client, and the audit's
-    // lock-leak check is about resolved transactions, not ones a
-    // never-recovering node took to its grave.
-    if crashed && log.is_empty() && meta.is_empty() {
-        if let Some(wal) = &wal {
-            let rec = wal.lock().expect("wal poisoned").replay(me);
-            if shard.locked() == 0 && shard.total() == 0 && log.is_empty() {
-                shard = rec.shard;
-                for p in &rec.in_flight {
-                    shard.finish(&p.txn, false);
+
+    /// Fold the self-metered layers into the observability bundle: lock
+    /// residency from the shard, timer lag from the demux loop. Bulk
+    /// counters (no per-op histogram), folded at a crash — the state that
+    /// carries them is replaced — and at exit.
+    fn fold_meters(&mut self) {
+        let meters = &self.env.obs.meters;
+        let (holds, hold_nanos) = self.st.shard.lock_hold_stats();
+        meters.add_many(Stage::LockHold, holds, hold_nanos);
+        let (fires, lag_nanos) = self.st.engine.timer_stats();
+        meters.add_many(Stage::TimerFire, fires, lag_nanos);
+    }
+
+    fn finish(mut self) -> NodeReturn {
+        // A node that dies without restarting still answers the audit with
+        // its durable state: what the WAL can rebuild *is* its state.
+        // In-flight yes-vote locks are durably recorded (a future restart
+        // would re-hold them) but are *released* in this final report:
+        // those transactions are already counted as stalled at the client,
+        // and the audit's lock-leak check is about resolved transactions,
+        // not ones a never-recovering node took to its grave.
+        if self.crashed && self.st.log.is_empty() && self.st.meta.is_empty() {
+            if let Some(wal) = self.env.wal.clone() {
+                self.recover(&wal.lock().expect("wal poisoned"));
+                for m in self.st.meta.values() {
+                    self.st.shard.finish(&m.txn, false);
                 }
-                log = rec
-                    .decided
-                    .iter()
-                    .map(|d| NodeRecord {
-                        txn: Arc::clone(&d.txn),
-                        client: d.client,
-                        vote: d.vote,
-                        decision: d.value,
-                    })
-                    .collect();
             }
         }
-    }
-    // Fold in the self-metered layers: lock residency from the shard,
-    // timer lag from the demux loop, socket-write time from the
-    // transport. These are bulk counters (no per-op histogram).
-    let (holds, hold_nanos) = shard.lock_hold_stats();
-    obs.meters.add_many(Stage::LockHold, holds, hold_nanos);
-    let (fires, lag_nanos) = node.timer_stats();
-    obs.meters.add_many(Stage::TimerFire, fires, lag_nanos);
-    let (writes, write_nanos) = transport.io_stats();
-    obs.meters.add_many(Stage::TcpWrite, writes, write_nanos);
-    NodeReturn {
-        shard,
-        log,
-        spurious_wakeups,
-        dropped_messages,
-        delayed_messages,
-        orphaned_envelopes,
-        wal_prepare_forces,
-        wal_forces,
-        obs,
+        self.fold_meters();
+        let (writes, write_nanos) = self.env.transport.io_stats();
+        let obs = self.env.obs;
+        obs.meters.add_many(Stage::TcpWrite, writes, write_nanos);
+        NodeReturn {
+            shard: self.st.shard,
+            log: self.st.log,
+            spurious_wakeups: self.spurious_wakeups,
+            orphaned_envelopes: self.orphaned_envelopes,
+            wal_prepare_forces: self.wal_prepare_forces,
+            wal_forces: self.wal_forces,
+            obs,
+        }
     }
 }
 
@@ -2214,6 +2139,7 @@ fn aggregate(
     node_returns: Vec<NodeReturn>,
     elapsed: Duration,
     wire: &AtomicUsize,
+    faults: &FaultCounters,
 ) -> ServiceOutcome {
     let mut latency = LatencyHistogram::new();
     let mut stalled = 0;
@@ -2225,8 +2151,6 @@ fn aggregate(
     let mut violations = Vec::new();
     let mut txn_events = Vec::new();
     let spurious_wakeups = node_returns.iter().map(|r| r.spurious_wakeups).sum();
-    let dropped_messages = node_returns.iter().map(|r| r.dropped_messages).sum();
-    let delayed_messages = node_returns.iter().map(|r| r.delayed_messages).sum();
     let orphaned_envelopes = node_returns.iter().map(|r| r.orphaned_envelopes).sum();
     let wal_prepare_forces = node_returns.iter().map(|r| r.wal_prepare_forces).sum();
     let wal_forces = node_returns.iter().map(|r| r.wal_forces).sum();
@@ -2359,8 +2283,8 @@ fn aggregate(
         elapsed,
         latency,
         wire_messages: wire.load(Ordering::Relaxed),
-        dropped_messages,
-        delayed_messages,
+        dropped_messages: faults.dropped.load(Ordering::Relaxed),
+        delayed_messages: faults.delayed.load(Ordering::Relaxed),
         retries,
         reply_timeouts,
         spurious_wakeups,
@@ -2409,7 +2333,6 @@ mod tests {
             transport: Box::new(ChannelTransport::new(txs)),
             done_txs,
             wire,
-            policy: None,
             window: None,
             wal: None,
             wal_flush_interval: None,
@@ -2507,14 +2430,16 @@ mod tests {
     fn recovered_logless_commit_defers_instead_of_stealing_live_locks() {
         use ac_txn::{Key, Version};
 
-        let mut shard = Shard::new(0);
-        let mut meta: Slab<TxnMeta> = Slab::new();
+        let mut st: NodeState<ac_commit::protocols::D1cc> =
+            NodeState::new(0, 1, 1, Duration::from_millis(5));
+        let mut obs = NodeObs::new();
+        let epoch = Instant::now();
 
         // Live txn B prepared here: voted yes, holds the lock on key 7.
         let b_id = ServiceConfig::txn_id(0, 2);
         let txn_b = Arc::new(Transaction::new(b_id).with_write(Key::new(0, 7), 5));
-        assert!(shard.prepare(&txn_b));
-        meta.insert(
+        assert!(st.shard.prepare(&txn_b));
+        st.meta.insert(
             b_id,
             TxnMeta {
                 txn: Arc::clone(&txn_b),
@@ -2530,7 +2455,7 @@ mod tests {
         // the yes its peers still hold.
         let a_id = ServiceConfig::txn_id(0, 1);
         let txn_a = Arc::new(Transaction::new(a_id).with_write(Key::new(0, 7), 9));
-        meta.insert(
+        st.meta.insert(
             a_id,
             TxnMeta {
                 txn: Arc::clone(&txn_a),
@@ -2541,63 +2466,31 @@ mod tests {
             },
         );
 
-        let mut decided = vec![(a_id, COMMIT)];
-        let mut deferred = Vec::new();
-        let mut log = Vec::new();
-        let mut done_out: Vec<Vec<Done>> = vec![Vec::new()];
-        let mut decided_map = HashMap::new();
-        let mut obs = NodeObs::new();
-        let epoch = Instant::now();
-        apply_decisions(
-            &mut decided,
-            &mut deferred,
-            &meta,
-            &mut shard,
-            &mut log,
-            &mut done_out,
-            0,
-            None,
-            &mut decided_map,
-            true,
-            &mut obs,
-            epoch,
-        );
-        assert_eq!(deferred, vec![(a_id, COMMIT)], "A must wait on B's lock");
-        assert!(log.is_empty(), "a deferred commit is not logged yet");
-        assert_eq!(shard.read(7), Version::default(), "no write applied yet");
+        st.fx.decided.push((a_id, COMMIT));
+        st.apply(true, false, &mut obs, epoch);
+        assert_eq!(st.deferred, vec![(a_id, COMMIT)], "A must wait on B's lock");
+        assert!(st.log.is_empty(), "a deferred commit is not logged yet");
+        assert_eq!(st.shard.read(7), Version::default(), "no write applied yet");
 
         // B's own decision lands: it applies and releases the lock, and
         // the same call drains the deferred A behind it.
-        decided.push((b_id, COMMIT));
-        apply_decisions(
-            &mut decided,
-            &mut deferred,
-            &meta,
-            &mut shard,
-            &mut log,
-            &mut done_out,
-            0,
-            None,
-            &mut decided_map,
-            true,
-            &mut obs,
-            epoch,
-        );
-        assert!(deferred.is_empty(), "the freed lock unblocks A");
+        st.fx.decided.push((b_id, COMMIT));
+        st.apply(true, false, &mut obs, epoch);
+        assert!(st.deferred.is_empty(), "the freed lock unblocks A");
         assert_eq!(
-            log.iter().map(|r| r.txn.id).collect::<Vec<_>>(),
+            st.log.iter().map(|r| r.txn.id).collect::<Vec<_>>(),
             vec![b_id, a_id],
             "apply order: the live owner first, the recovered commit after"
         );
         assert_eq!(
-            shard.read(7),
+            st.shard.read(7),
             Version {
                 value: 9,
                 version: 2
             },
             "both writes applied — neither update lost"
         );
-        assert_eq!(shard.locked(), 0, "no lock may leak");
+        assert_eq!(st.shard.locked(), 0, "no lock may leak");
     }
 
     /// ISSUE-4 satellite: an idle service must perform **zero** spurious

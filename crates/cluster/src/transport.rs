@@ -1,10 +1,10 @@
-//! The node-to-node transport seam and its two implementations.
+//! The node-to-node transport seam and its implementations.
 //!
 //! [`node_main`](crate::service)'s flush step stages outbound envelopes
 //! per destination and hands each destination's batch to a [`Transport`].
-//! Everything above the seam — fault policy, delay heap, wire counters,
-//! batching — is transport-agnostic; everything below is how bytes (or
-//! in-process values) actually move:
+//! Above the seam the node loop knows only protocol work: drain, dispatch,
+//! the WAL force, batching and the wire counter. Everything below is how
+//! envelopes actually move, or fail to:
 //!
 //! * [`ChannelTransport`] — the original fast path: one unbounded
 //!   crossbeam channel per node, `send_batch` is one lock acquisition.
@@ -14,6 +14,12 @@
 //!   [`TcpNode`]: a listener whose per-connection reader threads decode
 //!   frames and forward them into the node's ordinary inbox channel, so
 //!   the node loop itself never knows which transport fed it.
+//! * [`FaultTransport`] — a decorator over either of them that injects
+//!   message faults: a [`NetPolicy`] gives every envelope a [`Fate`]
+//!   (deliver, drop, or delay), and delayed envelopes wait in a heap until
+//!   the node loop's next flush at or after their due instant
+//!   ([`Transport::release_due`]). The service wraps a node's transport
+//!   only when its `FaultSpec` carries a policy.
 //!
 //! ## Reconnect state machine (per peer)
 //!
@@ -34,10 +40,10 @@
 //! like a crashed process, which is precisely the fault domain the
 //! protocols are built for.
 
-use std::collections::HashMap;
+use std::collections::{BinaryHeap, HashMap};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -68,11 +74,28 @@ pub trait Transport<M>: Send {
 
     /// Send a batch to node `to`, equivalent to sending each envelope in
     /// order (implementations may amortize: one lock, one syscall).
-    fn send_batch(&mut self, to: ProcessId, batch: &mut Vec<ToNode<M>>) {
+    /// Returns how many envelopes went on the wire now; a fault decorator
+    /// may drop or hold back the rest.
+    fn send_batch(&mut self, to: ProcessId, batch: &mut Vec<ToNode<M>>) -> usize {
+        let sent = batch.len();
         for env in batch.drain(..) {
             self.send(to, env);
         }
+        sent
     }
+
+    /// Start a flush at `now`: send every held-back envelope due by then
+    /// and report when the next one falls due. Only a decorator that
+    /// delays envelopes holds any ([`FaultTransport`]); the default holds
+    /// none.
+    fn release_due(&mut self, _now: Instant) -> Release {
+        Release::default()
+    }
+
+    /// The sending node crashed: whatever the transport holds back in the
+    /// node's memory dies with it. Counters survive, as they would in a
+    /// restarted process's metrics.
+    fn crash(&mut self) {}
 
     /// `(writes, total nanoseconds)` this transport spent handing bytes
     /// to the OS. The TCP transport times every socket `write_all`; the
@@ -81,6 +104,15 @@ pub trait Transport<M>: Send {
     fn io_stats(&self) -> (u64, u64) {
         (0, 0)
     }
+}
+
+/// What [`Transport::release_due`] did.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Release {
+    /// Held-back envelopes that went on the wire.
+    pub sent: usize,
+    /// When the earliest envelope still held back falls due.
+    pub next_due: Option<Instant>,
 }
 
 /// The in-process transport: envelopes move over unbounded crossbeam
@@ -101,8 +133,175 @@ impl<M: Send> Transport<M> for ChannelTransport<M> {
         let _ = self.txs[to].send(env);
     }
 
-    fn send_batch(&mut self, to: ProcessId, batch: &mut Vec<ToNode<M>>) {
+    fn send_batch(&mut self, to: ProcessId, batch: &mut Vec<ToNode<M>>) -> usize {
+        let sent = batch.len();
         let _ = self.txs[to].send_batch(batch.drain(..));
+        sent
+    }
+}
+
+/// What the fault layer decides about one node-to-node envelope.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Fate {
+    /// Put it on the wire now.
+    Deliver,
+    /// Lose it (partition, lossy link).
+    Drop,
+    /// Deliver it after an extra delay.
+    Delay(Duration),
+}
+
+/// A fault-injection policy consulted for every node-to-node envelope.
+///
+/// `seq` is a per-`(from, to)` monotone counter, so a seeded policy can be
+/// deterministic without interior mutability (`ac-chaos::FaultProxy` hashes
+/// `(seed, from, to, seq)`); `elapsed` is wall time since the service
+/// epoch. Client↔node control traffic is *not* subject to the policy (the
+/// client is the measurement harness, not a distributed component).
+pub trait NetPolicy: Send + Sync {
+    /// Decide the fate of one envelope from `from` to `to`.
+    fn fate(&self, from: ProcessId, to: ProcessId, elapsed: Duration, seq: u64) -> Fate;
+}
+
+/// Envelope fates counted across every [`FaultTransport`] that shares
+/// this value (the service shares one per run).
+#[derive(Debug, Default)]
+pub struct FaultCounters {
+    /// Envelopes the policy dropped.
+    pub dropped: AtomicUsize,
+    /// Envelopes the policy held back before delivery.
+    pub delayed: AtomicUsize,
+}
+
+/// An envelope held back by a [`Fate::Delay`] verdict, released at `due`.
+struct DelayedEnv<M> {
+    due: Instant,
+    seq: u64,
+    to: ProcessId,
+    env: ToNode<M>,
+}
+
+impl<M> PartialEq for DelayedEnv<M> {
+    fn eq(&self, other: &Self) -> bool {
+        self.due == other.due && self.seq == other.seq
+    }
+}
+impl<M> Eq for DelayedEnv<M> {}
+impl<M> PartialOrd for DelayedEnv<M> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<M> Ord for DelayedEnv<M> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        // Reverse for a min-heap on `due`.
+        other.due.cmp(&self.due).then(other.seq.cmp(&self.seq))
+    }
+}
+
+/// A [`Transport`] decorator that applies a [`NetPolicy`] to every
+/// envelope of one sending node.
+///
+/// Each flush begins with [`Transport::release_due`] at the flush instant:
+/// due delayed envelopes go out first, bypassing the policy, and the
+/// batches sent after it are judged at that same instant. Delivered
+/// envelopes pass to the inner transport in their original order; a
+/// delayed one is released at the first flush at or after `now + delay`,
+/// in `(due, seq)` order. A [`Transport::crash`] discards the held
+/// envelopes but keeps the per-destination `seq` counters, so a seeded
+/// policy keeps its verdict stream across a restart.
+pub struct FaultTransport<M> {
+    inner: Box<dyn Transport<M>>,
+    me: ProcessId,
+    policy: Arc<dyn NetPolicy>,
+    epoch: Instant,
+    /// The instant the current flush is judged at.
+    now: Instant,
+    /// Per-destination envelope counters feeding the policy.
+    seq: Vec<u64>,
+    delayed: BinaryHeap<DelayedEnv<M>>,
+    /// Reused per-destination batch of delivered envelopes.
+    staged: Vec<ToNode<M>>,
+    counters: Arc<FaultCounters>,
+}
+
+impl<M> FaultTransport<M> {
+    /// Wrap node `me`'s transport to `n` nodes; `epoch` is the run start
+    /// the policy's `elapsed` argument counts from.
+    pub fn new(
+        inner: Box<dyn Transport<M>>,
+        me: ProcessId,
+        n: usize,
+        policy: Arc<dyn NetPolicy>,
+        epoch: Instant,
+        counters: Arc<FaultCounters>,
+    ) -> FaultTransport<M> {
+        FaultTransport {
+            inner,
+            me,
+            policy,
+            epoch,
+            now: epoch,
+            seq: vec![0; n],
+            delayed: BinaryHeap::new(),
+            staged: Vec::new(),
+            counters,
+        }
+    }
+}
+
+impl<M: Send> Transport<M> for FaultTransport<M> {
+    fn send(&mut self, to: ProcessId, env: ToNode<M>) {
+        self.send_batch(to, &mut vec![env]);
+    }
+
+    fn send_batch(&mut self, to: ProcessId, batch: &mut Vec<ToNode<M>>) -> usize {
+        let elapsed = self.now.saturating_duration_since(self.epoch);
+        for env in batch.drain(..) {
+            let seq = self.seq[to];
+            self.seq[to] += 1;
+            match self.policy.fate(self.me, to, elapsed, seq) {
+                Fate::Deliver => self.staged.push(env),
+                Fate::Drop => {
+                    self.counters.dropped.fetch_add(1, Ordering::Relaxed);
+                }
+                Fate::Delay(d) => {
+                    self.counters.delayed.fetch_add(1, Ordering::Relaxed);
+                    self.delayed.push(DelayedEnv {
+                        due: self.now + d,
+                        seq,
+                        to,
+                        env,
+                    });
+                }
+            }
+        }
+        if self.staged.is_empty() {
+            return 0;
+        }
+        self.inner.send_batch(to, &mut self.staged)
+    }
+
+    fn release_due(&mut self, now: Instant) -> Release {
+        self.now = now;
+        let mut sent = 0;
+        while self.delayed.peek().is_some_and(|d| d.due <= now) {
+            let d = self.delayed.pop().expect("peeked");
+            self.inner.send(d.to, d.env);
+            sent += 1;
+        }
+        Release {
+            sent,
+            next_due: self.delayed.peek().map(|d| d.due),
+        }
+    }
+
+    fn crash(&mut self) {
+        self.delayed.clear();
+    }
+
+    fn io_stats(&self) -> (u64, u64) {
+        self.inner.io_stats()
     }
 }
 
@@ -275,9 +474,10 @@ impl<M: Wire + Send> Transport<M> for TcpTransport {
         self.flush_scratch(to);
     }
 
-    fn send_batch(&mut self, to: ProcessId, batch: &mut Vec<ToNode<M>>) {
+    fn send_batch(&mut self, to: ProcessId, batch: &mut Vec<ToNode<M>>) -> usize {
+        let sent = batch.len();
         self.scratch.clear();
-        self.scratch_frames = batch.len() as u64;
+        self.scratch_frames = sent as u64;
         if let Some(net) = &self.net {
             net.outbox_depth(to, self.scratch_frames);
         }
@@ -285,6 +485,7 @@ impl<M: Wire + Send> Transport<M> for TcpTransport {
             write_frame(&AnyFrame::Node(env), &mut self.scratch);
         }
         self.flush_scratch(to);
+        sent
     }
 
     fn io_stats(&self) -> (u64, u64) {
@@ -531,5 +732,150 @@ fn read_loop<M: Wire + Send + 'static>(
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crossbeam::channel::{unbounded, Receiver};
+
+    /// A policy that plays back a fixed verdict per `(to, seq)` (deliver
+    /// otherwise) and records every consultation.
+    struct Scripted {
+        fates: HashMap<(ProcessId, u64), Fate>,
+        seen: Mutex<Vec<(ProcessId, ProcessId, Duration, u64)>>,
+    }
+
+    impl NetPolicy for Scripted {
+        fn fate(&self, from: ProcessId, to: ProcessId, elapsed: Duration, seq: u64) -> Fate {
+            self.seen
+                .lock()
+                .expect("seen poisoned")
+                .push((from, to, elapsed, seq));
+            self.fates.get(&(to, seq)).copied().unwrap_or(Fate::Deliver)
+        }
+    }
+
+    const MS: Duration = Duration::from_millis(1);
+
+    /// Node 0's fault transport over a three-node channel transport, with
+    /// the given script; returns the receivers and the policy.
+    #[allow(clippy::type_complexity)]
+    fn rig(
+        script: &[((ProcessId, u64), Fate)],
+    ) -> (
+        FaultTransport<()>,
+        Vec<Receiver<ToNode<()>>>,
+        Arc<Scripted>,
+        Arc<FaultCounters>,
+        Instant,
+    ) {
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..3).map(|_| unbounded()).unzip();
+        let policy = Arc::new(Scripted {
+            fates: script.iter().copied().collect(),
+            seen: Mutex::new(Vec::new()),
+        });
+        let counters = Arc::new(FaultCounters::default());
+        let epoch = Instant::now();
+        let t = FaultTransport::new(
+            Box::new(ChannelTransport::new(txs)),
+            0,
+            3,
+            Arc::clone(&policy) as Arc<dyn NetPolicy>,
+            epoch,
+            Arc::clone(&counters),
+        );
+        (t, rxs, policy, counters, epoch)
+    }
+
+    fn ends(ids: &[u64]) -> Vec<ToNode<()>> {
+        ids.iter().map(|&txn| ToNode::End { txn }).collect()
+    }
+
+    fn received(rx: &Receiver<ToNode<()>>) -> Vec<u64> {
+        std::iter::from_fn(|| rx.try_recv().ok())
+            .map(|env| match env {
+                ToNode::End { txn } => txn,
+                other => panic!("unexpected envelope {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn deliver_drop_and_delay_each_land_where_they_should() {
+        let (mut t, rxs, policy, counters, epoch) = rig(&[
+            ((1, 1), Fate::Drop),
+            ((1, 2), Fate::Delay(5 * MS)),
+            ((2, 0), Fate::Delay(MS)),
+        ]);
+        let flush = epoch + 3 * MS;
+        assert_eq!(t.release_due(flush), Release::default());
+        assert_eq!(t.send_batch(1, &mut ends(&[10, 11, 12, 13])), 2);
+        assert_eq!(t.send_batch(2, &mut ends(&[20, 21])), 1);
+        assert_eq!(received(&rxs[1]), vec![10, 13], "delivered, in order");
+        assert_eq!(received(&rxs[2]), vec![21]);
+        assert_eq!(counters.dropped.load(Ordering::Relaxed), 1);
+        assert_eq!(counters.delayed.load(Ordering::Relaxed), 2);
+        // `seq` advances per destination; every verdict is taken at the
+        // flush instant.
+        let seen = policy.seen.lock().expect("seen poisoned").clone();
+        let expect: Vec<_> = [(1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1)]
+            .into_iter()
+            .map(|(to, seq)| (0, to, 3 * MS, seq))
+            .collect();
+        assert_eq!(seen, expect);
+        // The held envelopes fall due at flush + delay.
+        let next = t.release_due(flush).next_due;
+        assert_eq!(next, Some(flush + MS));
+    }
+
+    #[test]
+    fn delayed_envelopes_release_at_or_after_due_in_due_then_seq_order() {
+        let (mut t, rxs, _, counters, epoch) = rig(&[
+            ((1, 0), Fate::Delay(3 * MS)),
+            ((1, 1), Fate::Delay(MS)),
+            ((1, 2), Fate::Delay(3 * MS)),
+        ]);
+        t.release_due(epoch);
+        assert_eq!(t.send_batch(1, &mut ends(&[0, 1, 2])), 0);
+        assert!(received(&rxs[1]).is_empty(), "nothing before its due");
+
+        let early = t.release_due(epoch + MS / 2);
+        assert_eq!(early.sent, 0);
+        assert_eq!(early.next_due, Some(epoch + MS));
+
+        let first = t.release_due(epoch + MS);
+        assert_eq!(first.sent, 1, "due exactly now is released");
+        assert_eq!(first.next_due, Some(epoch + 3 * MS));
+        assert_eq!(received(&rxs[1]), vec![1]);
+
+        let rest = t.release_due(epoch + 10 * MS);
+        assert_eq!(rest.sent, 2);
+        assert_eq!(rest.next_due, None);
+        assert_eq!(received(&rxs[1]), vec![0, 2], "equal dues leave by seq");
+        assert_eq!(counters.delayed.load(Ordering::Relaxed), 3);
+    }
+
+    #[test]
+    fn a_crash_discards_held_envelopes_but_keeps_counters_and_seq() {
+        let (mut t, rxs, policy, counters, epoch) = rig(&[
+            ((1, 0), Fate::Delay(MS)),
+            ((1, 1), Fate::Drop),
+            ((1, 2), Fate::Delay(MS)),
+        ]);
+        t.release_due(epoch);
+        t.send_batch(1, &mut ends(&[0, 1]));
+        t.crash();
+        assert_eq!(t.release_due(epoch + 10 * MS), Release::default());
+        assert!(received(&rxs[1]).is_empty(), "held envelopes died");
+        assert_eq!(counters.dropped.load(Ordering::Relaxed), 1);
+        assert_eq!(counters.delayed.load(Ordering::Relaxed), 1);
+        // The restarted node's next envelope continues the seq stream.
+        t.send_batch(1, &mut ends(&[2]));
+        let last = policy.seen.lock().expect("seen poisoned").last().copied();
+        assert_eq!(last.map(|(_, to, _, seq)| (to, seq)), Some((1, 2)));
+        assert_eq!(t.release_due(epoch + 20 * MS).sent, 1);
+        assert_eq!(received(&rxs[1]), vec![2]);
     }
 }

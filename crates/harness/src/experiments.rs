@@ -1101,9 +1101,9 @@ pub fn chaos_baseline(quick: bool, jobs: usize) -> (Report, BenchBaseline) {
 }
 
 /// [`chaos_baseline`] with an explicit transport (`repro chaos
-/// --transport tcp`): the fault policy decides envelope fates *before*
-/// the transport sees them, so the same crash/partition/lossy plans run
-/// unchanged over sockets.
+/// --transport tcp`): the fault decorator decides envelope fates *before*
+/// the wrapped transport sees them, so the same crash/partition/lossy
+/// plans run unchanged over sockets.
 pub fn chaos_baseline_with(
     quick: bool,
     jobs: usize,

@@ -173,6 +173,35 @@ fn lossy_links_degrade_but_never_corrupt() {
     assert!(out.service.dropped_messages > 0, "10% loss must bite");
 }
 
+/// Delay is the one fault fate the scenarios above never draw. With every
+/// node-to-node envelope held back one unit, a 2PC participant that has
+/// voted has no timer of its own pending, so only the node loop's wake-up
+/// at the transport's next release instant puts its held vote (and the
+/// coordinator's held decision) on the wire. A missed wake-up would park
+/// the envelope until unrelated traffic arrives — at the latest a client
+/// retry, which the generous reply timeout makes visible as `retries`.
+#[test]
+fn delaying_every_envelope_one_unit_keeps_2pc_live_and_safe() {
+    let cfg = ChaosConfig {
+        service: chaos_cfg(ProtocolKind::TwoPc).reply_timeout(Duration::from_secs(1)),
+        plan: ChaosPlan::none(4).extra_delay(0, 1_000_000, 1),
+    };
+    let out = run_chaos(&cfg);
+    assert!(
+        out.service.is_safe(),
+        "audit failed: {:?}",
+        out.service.violations
+    );
+    assert!(out.service.delayed_messages > 0, "the delay must bite");
+    assert_eq!(out.service.dropped_messages, 0);
+    assert_eq!(out.service.stalled, 0);
+    assert_eq!(out.service.orphaned_envelopes, 0);
+    assert_eq!(
+        out.service.retries, 0,
+        "held envelopes must leave at their release instant"
+    );
+}
+
 /// Same crash schedule, same protocol, same decisions — across **three**
 /// execution modes: a crash schedule expressed once as an
 /// `ac_net::FaultPlan` drives the simulator directly and, converted

@@ -1,48 +1,132 @@
-//! The same automata on real threads (ac-runtime) must reach the same
-//! decisions as in the simulator's failure-free executions.
+//! The same automata on `ac-runtime`'s [`NodeLoop`] — the engine every
+//! live node thread hosts — must reproduce the simulator's failure-free
+//! executions exactly: the same decisions, the same number of wire
+//! messages, and the same decision time in delay units.
 //!
-//! Channel latency (microseconds) is far below one delay unit (30ms here),
-//! so threaded runs are synchronous executions with small delays; the
-//! simulator's failure-free outcome is the reference.
+//! The host here drives one loop per process on the test thread with
+//! synthetic instants: a cross-process message arrives exactly one unit
+//! after it is sent, a self-message immediately, and due timers fire one
+//! at a time with deliveries in between — the nice execution, with no
+//! scheduling noise.
 
-use std::time::Duration;
+use std::collections::VecDeque;
+use std::time::{Duration, Instant};
 
 use ac_commit::protocols::{ChainNbac, Inbac, Nbac0, Nbac1, TwoPc};
 use ac_commit::{CommitProtocol, Scenario};
-use ac_runtime::{run_threads, RtConfig};
+use ac_runtime::{NodeEvent, NodeLoop, UnitClock};
+use ac_sim::ProcessId;
 
-fn cfg() -> RtConfig {
-    RtConfig {
-        unit: Duration::from_millis(30),
-        deadline: Duration::from_secs(10),
+const UNIT: Duration = Duration::from_millis(30);
+
+/// What the hosted run produced.
+struct Hosted {
+    decisions: Vec<Option<u64>>,
+    /// Cross-process messages sent until quiescence.
+    messages: usize,
+    /// When the last process decided, in whole units since the start.
+    last_decision_units: u64,
+}
+
+/// Messages in flight and decisions taken, shared by every loop's sink.
+struct Net<M> {
+    start: Instant,
+    wire: VecDeque<(Instant, ProcessId, ProcessId, M)>,
+    local: VecDeque<(ProcessId, M)>,
+    hosted: Hosted,
+}
+
+impl<M> Net<M> {
+    fn sink(&mut self, me: ProcessId, now: Instant) -> impl FnMut(NodeEvent<M>) + '_ {
+        move |ev| match ev {
+            NodeEvent::Send { to, msg, .. } if to == me => self.local.push_back((me, msg)),
+            NodeEvent::Send { to, msg, .. } => {
+                self.hosted.messages += 1;
+                // Every message takes exactly one unit, so arrival order
+                // is send order and the queue stays sorted.
+                self.wire.push_back((now + UNIT, me, to, msg));
+            }
+            NodeEvent::Decided { value, .. } => {
+                self.hosted.decisions[me] = Some(value);
+                let units = now.duration_since(self.start).as_nanos() / UNIT.as_nanos();
+                self.hosted.last_decision_units = units as u64;
+            }
+        }
     }
 }
 
-fn compare<P: CommitProtocol + Send + 'static>(votes: &[bool], f: usize)
-where
-    P::Msg: Send + 'static,
-{
+fn host<P: CommitProtocol>(votes: &[bool], f: usize) -> Hosted {
     let n = votes.len();
-    let sim = Scenario::nice(n, f).votes(votes).run::<P>();
-    let sim_vals = sim.decided_values();
+    let start = Instant::now();
+    let mut loops: Vec<NodeLoop<P>> = (0..n)
+        .map(|me| NodeLoop::new(me, n, UnitClock::new(UNIT)))
+        .collect();
+    let mut net = Net {
+        start,
+        wire: VecDeque::new(),
+        local: VecDeque::new(),
+        hosted: Hosted {
+            decisions: vec![None; n],
+            messages: 0,
+            last_decision_units: 0,
+        },
+    };
+    for (me, node) in loops.iter_mut().enumerate() {
+        node.open(
+            0,
+            P::new(me, n, f, votes[me]),
+            start,
+            &mut net.sink(me, start),
+        );
+    }
+    let mut now = start;
+    loop {
+        if let Some((p, msg)) = net.local.pop_front() {
+            loops[p].deliver(0, p, msg, now, &mut net.sink(p, now));
+            continue;
+        }
+        if net.wire.front().is_some_and(|m| m.0 <= now) {
+            let (_, from, to, msg) = net.wire.pop_front().expect("peeked");
+            loops[to].deliver(0, from, msg, now, &mut net.sink(to, now));
+            continue;
+        }
+        if (0..n).any(|p| loops[p].fire_next(now, &mut net.sink(p, now))) {
+            continue;
+        }
+        let next = net.wire.front().map(|m| m.0);
+        match next
+            .into_iter()
+            .chain(loops.iter().filter_map(|l| l.next_due()))
+            .min()
+        {
+            Some(t) => now = t,
+            None => return net.hosted,
+        }
+    }
+}
 
-    let votes_owned = votes.to_vec();
-    let threads = run_threads(n, move |me| P::new(me, n, f, votes_owned[me]), cfg());
-    let thread_vals = threads.decided_values();
-
-    assert_eq!(
-        sim_vals,
-        thread_vals,
-        "{}: simulator {:?} vs threads {:?}",
-        P::NAME,
-        sim_vals,
-        thread_vals
-    );
+fn compare<P: CommitProtocol>(votes: &[bool], f: usize) {
+    let sim = Scenario::nice(votes.len(), f).votes(votes).run::<P>();
+    let metrics = sim.metrics();
+    let hosted = host::<P>(votes, f);
+    let sim_decisions: Vec<Option<u64>> = (0..votes.len()).map(|p| sim.decision_of(p)).collect();
+    assert_eq!(hosted.decisions, sim_decisions, "{}: decisions", P::NAME);
     assert!(
-        threads.decisions.iter().all(|d| d.is_some()),
-        "{}: some thread never decided: {:?}",
-        P::NAME,
-        threads.decisions
+        hosted.decisions.iter().all(|d| d.is_some()),
+        "{}: some process never decided",
+        P::NAME
+    );
+    assert_eq!(
+        hosted.messages,
+        metrics.messages_total,
+        "{}: wire messages",
+        P::NAME
+    );
+    assert_eq!(
+        Some(hosted.last_decision_units),
+        metrics.delays,
+        "{}: decision time in units",
+        P::NAME
     );
 }
 
@@ -69,19 +153,16 @@ fn nbac1_on_threads() {
 
 #[test]
 fn nbac0_on_threads_is_silent_and_fast() {
-    let n = 5;
-    let t0 = std::time::Instant::now();
-    let threads = run_threads(n, move |me| Nbac0::new(me, n, 2, true), cfg());
-    assert_eq!(threads.decided_values(), vec![1]);
+    compare::<Nbac0>(&[true; 5], 2);
+    let hosted = host::<Nbac0>(&[true; 5], 2);
+    assert_eq!(hosted.decisions, vec![Some(1); 5]);
     assert_eq!(
-        threads.messages, 0,
+        hosted.messages, 0,
         "0NBAC exchanges no message in nice runs"
     );
-    assert!(t0.elapsed() < Duration::from_secs(5));
 }
 
 #[test]
 fn chain_nbac_on_threads() {
-    // Slowest protocol here: n + 2f = 6 units of 30ms ≈ 180ms.
     compare::<ChainNbac>(&[true; 4], 1);
 }
