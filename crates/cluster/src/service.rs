@@ -1856,6 +1856,78 @@ struct PendingTxn {
     deadline: Instant,
 }
 
+impl PendingTxn {
+    /// Fan `Begin` out to every participant of `txn` and start tracking
+    /// it: latency counts from `t0`, the reply and abandonment timers
+    /// from now.
+    fn submit<M>(
+        txn: Transaction,
+        client: usize,
+        cfg: &ServiceConfig,
+        transport: &mut dyn Transport<M>,
+        t0: Instant,
+    ) -> PendingTxn {
+        let txn = Arc::new(txn);
+        let parts = participants_of(&txn, cfg.n);
+        let now = Instant::now();
+        let p = PendingTxn {
+            txn,
+            decisions: vec![None; parts.len()],
+            parts,
+            got: 0,
+            t0,
+            retries: 0,
+            next_retry: now + cfg.reply_timeout,
+            deadline: now + cfg.txn_deadline,
+        };
+        p.send_begin(client, transport, false);
+        p
+    }
+
+    /// Send `Begin` (a re-send when `retry`) to every participant.
+    fn send_begin<M>(&self, client: usize, transport: &mut dyn Transport<M>, retry: bool) {
+        for &p in &self.parts {
+            transport.send(
+                p,
+                ToNode::Begin {
+                    txn: Arc::clone(&self.txn),
+                    client,
+                    retry,
+                },
+            );
+        }
+    }
+
+    /// Retire the transaction into its client-side event and record:
+    /// `decided` is its latency and outcome, `None` when it was abandoned.
+    fn close(
+        self,
+        client: usize,
+        epoch: Instant,
+        decided: Option<(Duration, bool)>,
+    ) -> (TxnEvent, ClientRecord) {
+        let submitted_at = self.t0.saturating_duration_since(epoch);
+        let event = TxnEvent {
+            id: self.txn.id,
+            client,
+            participants: self.parts.len(),
+            submitted_at,
+            decided_at: decided.map(|(lat, _)| submitted_at + lat),
+            committed: decided.map(|(_, committed)| committed),
+            retries: self.retries,
+            // Filled by `aggregate` from the merged flight events.
+            first_protocol_at: None,
+            votes_held_at: None,
+            journaled_at: None,
+        };
+        let record = ClientRecord {
+            txn: self.txn,
+            decisions: self.decisions,
+        };
+        (event, record)
+    }
+}
+
 /// One closed-loop client: submit, await all participant decisions with
 /// bounded, retrying waits, record, repeat. Unresolved transactions are
 /// parked (background retries) so a dead node blocks one transaction, not
@@ -1907,6 +1979,14 @@ where
             .as_mut()
             .map_or(Duration::ZERO, ArrivalSchedule::next_gap);
 
+    // The closed loop may submit while every outstanding transaction is
+    // parked and the in-flight window has room.
+    let may_submit = |submitted: usize, outstanding: &[PendingTxn]| {
+        submitted < total
+            && outstanding.len() < cfg.max_outstanding
+            && outstanding.iter().all(|p| p.retries >= cfg.park_retries)
+    };
+
     loop {
         if let Some(sched) = arrivals.as_mut() {
             // Dispatch every arrival whose scheduled instant has passed.
@@ -1922,71 +2002,28 @@ where
                     shed += 1;
                     continue;
                 }
-                let txn = Arc::new(t);
-                let parts = participants_of(&txn, cfg.n);
-                for &p in &parts {
-                    transport.send(
-                        p,
-                        ToNode::Begin {
-                            txn: Arc::clone(&txn),
-                            client,
-                            retry: false,
-                        },
-                    );
-                }
-                let k = parts.len();
-                let now = Instant::now();
-                outstanding.push(PendingTxn {
-                    txn,
-                    parts,
-                    decisions: vec![None; k],
-                    got: 0,
-                    t0: scheduled,
-                    retries: 0,
-                    next_retry: now + cfg.reply_timeout,
-                    deadline: now + cfg.txn_deadline,
-                });
+                outstanding.push(PendingTxn::submit(
+                    t,
+                    client,
+                    cfg,
+                    &mut *transport,
+                    scheduled,
+                ));
                 submitted += 1;
             }
             if offered == total && outstanding.is_empty() {
                 break;
             }
         } else {
-            // Submit while the closed loop is open: every outstanding
-            // transaction is parked, there is room, and pacing allows it.
+            // Submit while the closed loop is open and pacing allows it.
             loop {
                 let now = Instant::now();
-                let gate_open = submitted < total
-                    && outstanding.len() < cfg.max_outstanding
-                    && outstanding.iter().all(|p| p.retries >= cfg.park_retries);
-                if !gate_open || now < next_allowed {
+                if !may_submit(submitted, &outstanding) || now < next_allowed {
                     break;
                 }
                 let mut t = gen.next_txn();
                 t.id = ServiceConfig::txn_id(client, submitted);
-                let txn = Arc::new(t);
-                let parts = participants_of(&txn, cfg.n);
-                for &p in &parts {
-                    transport.send(
-                        p,
-                        ToNode::Begin {
-                            txn: Arc::clone(&txn),
-                            client,
-                            retry: false,
-                        },
-                    );
-                }
-                let k = parts.len();
-                outstanding.push(PendingTxn {
-                    txn,
-                    parts,
-                    decisions: vec![None; k],
-                    got: 0,
-                    t0: now,
-                    retries: 0,
-                    next_retry: now + cfg.reply_timeout,
-                    deadline: now + cfg.txn_deadline,
-                });
+                outstanding.push(PendingTxn::submit(t, client, cfg, &mut *transport, now));
                 submitted += 1;
                 if let Some(p) = cfg.pacing {
                     next_allowed = now + p;
@@ -2009,13 +2046,8 @@ where
             if offered < total {
                 due = Some(due.map_or(next_arrival, |d| d.min(next_arrival)));
             }
-        } else {
-            let submit_blocked_on_time = submitted < total
-                && outstanding.len() < cfg.max_outstanding
-                && outstanding.iter().all(|p| p.retries >= cfg.park_retries);
-            if submit_blocked_on_time {
-                due = Some(due.map_or(next_allowed, |d| d.min(next_allowed)));
-            }
+        } else if may_submit(submitted, &outstanding) {
+            due = Some(due.map_or(next_allowed, |d| d.min(next_allowed)));
         }
         let wait = due
             .expect("the loop only continues with work pending")
@@ -2044,27 +2076,13 @@ where
                 let p = outstanding.swap_remove(i);
                 let lat = p.t0.elapsed();
                 latency.record_duration(lat);
-                let committed = p.decisions[0] == Some(COMMIT);
-                events.push(TxnEvent {
-                    id: p.txn.id,
-                    client,
-                    participants: p.parts.len(),
-                    submitted_at: p.t0.saturating_duration_since(epoch),
-                    decided_at: Some(p.t0.saturating_duration_since(epoch) + lat),
-                    committed: Some(committed),
-                    retries: p.retries,
-                    // Filled by `aggregate` from the merged flight events.
-                    first_protocol_at: None,
-                    votes_held_at: None,
-                    journaled_at: None,
-                });
                 for &q in &p.parts {
                     transport.send(q, ToNode::End { txn: p.txn.id });
                 }
-                records.push(ClientRecord {
-                    txn: p.txn,
-                    decisions: p.decisions,
-                });
+                let committed = p.decisions[0] == Some(COMMIT);
+                let (event, record) = p.close(client, epoch, Some((lat, committed)));
+                events.push(event);
+                records.push(record);
             }
         }
 
@@ -2074,25 +2092,11 @@ where
         let mut i = 0;
         while i < outstanding.len() {
             if now >= outstanding[i].deadline {
-                let p = outstanding.swap_remove(i);
                 stalled += 1;
                 reply_timeouts += 1;
-                events.push(TxnEvent {
-                    id: p.txn.id,
-                    client,
-                    participants: p.parts.len(),
-                    submitted_at: p.t0.saturating_duration_since(epoch),
-                    decided_at: None,
-                    committed: None,
-                    retries: p.retries,
-                    first_protocol_at: None,
-                    votes_held_at: None,
-                    journaled_at: None,
-                });
-                records.push(ClientRecord {
-                    txn: p.txn,
-                    decisions: p.decisions,
-                });
+                let (event, record) = outstanding.swap_remove(i).close(client, epoch, None);
+                events.push(event);
+                records.push(record);
                 continue;
             }
             if now >= outstanding[i].next_retry {
@@ -2101,16 +2105,7 @@ where
                 retries += 1;
                 p.retries += 1;
                 p.next_retry = now + cfg.reply_timeout;
-                for &q in &p.parts {
-                    transport.send(
-                        q,
-                        ToNode::Begin {
-                            txn: Arc::clone(&p.txn),
-                            client,
-                            retry: true,
-                        },
-                    );
-                }
+                p.send_begin(client, &mut *transport, true);
             }
             i += 1;
         }

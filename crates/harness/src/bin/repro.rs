@@ -12,45 +12,57 @@
 //! With no argument, runs everything. `--json` emits machine-readable
 //! reports instead of aligned text. `--jobs N` sets the worker-thread count
 //! of the explorer-backed targets (`exhaustive`, `bench`, `load`, `chaos`,
-//! `all`); the default is 1 (sequential). `bench` additionally writes the
-//! machine-readable schema-v1 baseline to `--out` (default
-//! `BENCH_baseline.json`); `load` runs the live `ac-cluster` service sweep
-//! (protocol × workload × concurrency, `--quick` shrinks it for smoke
-//! jobs) and writes the schema-v2 baseline including the `service`
-//! section; `--transport tcp` routes the `load`/`chaos` sweeps through
+//! `all`); the default is 1 (sequential).
+//!
+//! `bench`, `load`, `chaos`, `saturate` and `proc` write the
+//! machine-readable bench baseline to `--out` (default
+//! `BENCH_baseline.json`). There is one baseline format; each target fills
+//! the sections it measures and leaves the rest `null`:
+//!
+//! * `bench` — the simulator sections only: `protocols` and `explorer`;
+//! * `load` — adds the live `ac-cluster` service sweep (protocol ×
+//!   workload × concurrency, `--quick` shrinks it for smoke jobs) as the
+//!   `service` section, and the per-stage latency **attribution** section
+//!   (every Table-5 protocol on both transports, stage shares telescoping
+//!   to end-to-end latency) with the slowest-transaction timelines
+//!   embedded;
+//! * `chaos` — adds the availability-under-failure sweep ({2PC,
+//!   Paxos-Commit, INBAC, D1CC} × {crash-coordinator, crash-participant,
+//!   partition-heal, lossy-10} through `ac-chaos`, with safety audits on
+//!   every faulted run) as the `chaos` section;
+//! * `saturate` — adds the open-loop saturation sweep (Poisson arrivals
+//!   stepped ×1 → ×16 with durability + group commit on, goodput over the
+//!   trimmed steady-state window, per-curve knee detection with the
+//!   knee's per-stage attribution) as the `saturation` section;
+//!   `--quick` shrinks it to one 2PC curve for CI's saturate-smoke job
+//!   (which runs it over tcp). The committed `BENCH_baseline.json` is
+//!   this target's full output;
+//! * `proc` — the **multi-process** sweep on top of `load`: real
+//!   `ac-node`/`ac-client` processes over loopback TCP, every node's
+//!   observability export collected through the cross-process tracing
+//!   path (clock alignment via echo round trips, `ObsPull`/`ObsDump`
+//!   control frames, one binary cluster dump per run under `--dump-dir`,
+//!   default `.`), attribution emitted as extra `"proc"` entries plus an
+//!   open-loop 2PC `saturation` curve; `--metrics PORT` additionally
+//!   serves and scrapes node 0's Prometheus endpoint mid-run (a gated
+//!   check).
+//!
+//! `--transport tcp` routes the `load`/`chaos`/`saturate` sweeps through
 //! the real-socket transport (length-prefixed wire codec over loopback
 //! TCP) instead of in-process channels, and the baseline records which
-//! transport measured it; `chaos` additionally runs the availability-under-failure sweep
-//! ({2PC, Paxos-Commit, INBAC, D1CC} × {crash-coordinator, crash-participant,
-//! partition-heal, lossy-10} through `ac-chaos`, with safety audits on
-//! every faulted run) and writes the schema-v3 baseline including the
-//! `chaos` section; `saturate` additionally runs the open-loop saturation
-//! sweep (Poisson arrivals stepped ×1 → ×16 with durability + group
-//! commit on, goodput over the trimmed steady-state window, per-curve
-//! knee detection with the knee's per-stage attribution) and writes the
-//! schema-v5 baseline including the `saturation` section — `--quick`
-//! shrinks it to one 2PC curve for CI's saturate-smoke job (which runs it
-//! over tcp); since schema v4 the `load`/`chaos` baselines also
-//! carry the per-stage latency **attribution** section (every Table-5
-//! protocol on both transports, stage shares telescoping to end-to-end
-//! latency) with the slowest-transaction timelines embedded;
-//! `proc` runs the **multi-process** sweep: real `ac-node`/`ac-client`
-//! processes over loopback TCP, every node's observability export
-//! collected through the cross-process tracing path (clock alignment via
-//! echo round trips, `ObsPull`/`ObsDump` control frames, one binary
-//! cluster dump per run under `--dump-dir`, default `.`), attribution
-//! emitted as extra `"proc"` entries on the schema-v5 baseline plus an
-//! open-loop 2PC saturation curve; `--metrics PORT` additionally serves
-//! and scrapes node 0's Prometheus endpoint mid-run (a gated check);
-//! `trace [<path>]` renders those embedded straggler timelines (default
-//! path `BENCH_baseline.json`) through the same renderer the simulator's
-//! traces use — when `<path>` is a binary cluster dump written by
-//! `ac-client --obs-out` / `repro proc`, the attribution is recomputed
-//! from the per-process exports on the spot and rendered the same way;
-//! `bench-check <path>` validates a previously written
-//! baseline of any schema version — CI's bench-smoke, load-smoke,
-//! chaos-smoke and trace-smoke jobs run these. `perf --against <path>` re-measures the
-//! live sweep and diffs it against a committed baseline: counter-exact
+//! transport measured it.
+//!
+//! `bench-check <path>` validates a written baseline and prints the
+//! sections it validated — CI's bench-smoke, load-smoke, chaos-smoke,
+//! saturate-smoke, socket-smoke and proc-trace-smoke jobs run it and grep
+//! that list. `trace [<path>]` renders the straggler timelines embedded in
+//! a baseline's `attribution` section (default path
+//! `BENCH_baseline.json`) through the same renderer the simulator's traces
+//! use — when `<path>` is a binary cluster dump written by `ac-client
+//! --obs-out` / `repro proc`, the attribution is recomputed from the
+//! per-process exports on the spot and rendered the same way; CI's
+//! load-smoke job runs it. `perf --against <path>` re-measures the live
+//! sweep and diffs it against a committed baseline: counter-exact
 //! regressions (message counts, commit rates, safety/stall counters,
 //! explorer soundness, a dirty committed chaos section) fail the run,
 //! wall-clock drift only warns; the machine-readable comparison is written
@@ -253,8 +265,8 @@ fn main() {
     let out = out.unwrap_or_else(|| PathBuf::from("BENCH_baseline.json"));
 
     // `proc`: the multi-process sweep — spawn real node/client processes,
-    // collect their exports, emit the schema-v5 baseline with "proc"
-    // attribution entries and the open-loop proc saturation curve.
+    // collect their exports, emit the baseline with "proc" attribution
+    // entries and the open-loop proc saturation curve.
     if id == "proc" {
         let opts = ac_harness::procrun::ProcOptions {
             quick,
@@ -277,11 +289,7 @@ fn main() {
             eprintln!("cannot write {}: {e}", out.display());
             std::process::exit(1);
         }
-        eprintln!(
-            "wrote {} (schema v{})",
-            out.display(),
-            baseline.schema_version
-        );
+        eprintln!("wrote {}", out.display());
         if !report.all_matched() {
             eprintln!("some comparisons or safety audits did not pass");
             std::process::exit(1);
@@ -303,10 +311,10 @@ fn main() {
             }
         };
         match BenchBaseline::validate_json(&text) {
-            Ok(()) => {
+            Ok(sections) => {
                 println!(
-                    "{path}: valid bench baseline (all seven Table-5 protocols present; \
-                     schema v1-v5 with clean service/chaos/attribution/saturation sections)"
+                    "{path}: valid bench baseline; validated sections: {}",
+                    sections.join(", ")
                 );
                 return;
             }
@@ -320,7 +328,7 @@ fn main() {
     }
 
     // `trace [<path>]`: render the slowest-transaction timelines embedded
-    // in a schema-v4 baseline's attribution section — where every
+    // in a baseline's attribution section — where every
     // microsecond of the worst commits went, one line per lifecycle step,
     // in the same format the simulator's protocol traces print.
     if id == "trace" {
@@ -365,8 +373,8 @@ fn main() {
         let entries = v["attribution"]["entries"].as_array().unwrap_or(&empty);
         if entries.is_empty() {
             eprintln!(
-                "{path}: no attribution section (schema v4, written by \
-                 `repro load` / `repro chaos`) — nothing to trace"
+                "{path}: no attribution section (written by `repro load`, \
+                 `repro chaos`, `repro saturate` or `repro proc`) — nothing to trace"
             );
             std::process::exit(1);
         }
@@ -408,9 +416,7 @@ fn main() {
     }
 
     // `bench`: measure, print, and write the machine-readable baseline.
-    // `load`: additionally run the live service sweep (schema v2).
-    // `chaos`: additionally run the availability-under-failure sweep
-    // (schema v3).
+    // `load`, `chaos`, `saturate`: additionally run their live sweeps.
     if id == "bench" || id == "load" || id == "chaos" || id == "saturate" {
         let (report, baseline) = match id {
             "bench" => experiments::bench_baseline(jobs),
@@ -427,11 +433,7 @@ fn main() {
             eprintln!("cannot write {}: {e}", out.display());
             std::process::exit(1);
         }
-        eprintln!(
-            "wrote {} (schema v{})",
-            out.display(),
-            baseline.schema_version
-        );
+        eprintln!("wrote {}", out.display());
         if !report.all_matched() {
             eprintln!("some comparisons or safety audits did not pass");
             std::process::exit(1);

@@ -744,27 +744,18 @@ pub fn bench_baseline(jobs: usize) -> (Report, BenchBaseline) {
          is byte-identical to sequential."
     ));
 
-    let baseline = BenchBaseline {
-        schema_version: 1,
+    let explorer = ExplorerBaseline {
+        protocol: ProtocolKind::Inbac.name().into(),
+        n: cfg.n,
+        f: cfg.f,
+        executions: seq.executions,
+        counterexamples: seq.counterexamples.len(),
+        sequential_millis,
+        parallel_millis,
         jobs,
-        protocols,
-        service: None,
-        chaos: None,
-        attribution: None,
-        saturation: None,
-        explorer: ExplorerBaseline {
-            protocol: ProtocolKind::Inbac.name().into(),
-            n: cfg.n,
-            f: cfg.f,
-            executions: seq.executions,
-            counterexamples: seq.counterexamples.len(),
-            sequential_millis,
-            parallel_millis,
-            jobs,
-            speedup,
-        },
+        speedup,
     };
-    (r, baseline)
+    (r, BenchBaseline::new(jobs, protocols, explorer))
 }
 
 /// The `(n, f)` grid and delay-unit length of the live-service sweep.
@@ -777,8 +768,9 @@ pub const SERVICE_UNIT: std::time::Duration = std::time::Duration::from_millis(5
 /// wall-clock throughput and latency percentiles (p50/p90/p99/p99.9),
 /// plus the per-stage latency **attribution** sweep (every Table-5
 /// protocol on both transports through the flight recorder), emitted as
-/// a schema-v4 [`BenchBaseline`] (simulator sections re-measured by
-/// [`bench_baseline`], so the emitted file is self-contained).
+/// the `service` and `attribution` sections of a [`BenchBaseline`]
+/// (simulator sections re-measured by [`bench_baseline`], so the emitted
+/// file is self-contained).
 ///
 /// `quick` shrinks the sweep for CI smoke jobs; `jobs` is forwarded to the
 /// explorer leg of the baseline (the service spawns its own `n + c`
@@ -798,8 +790,7 @@ pub fn load_baseline_with(
     transport: ac_cluster::TransportKind,
 ) -> (Report, BenchBaseline) {
     use crate::report::{
-        attribution_stage_names, service_protocols, AttributionBaseline, AttributionEntry,
-        AttributionStageEntry, ServiceBaseline, ServiceEntry, SlowTxn, TimelineStep,
+        service_protocols, AttributionBaseline, AttributionEntry, ServiceBaseline, ServiceEntry,
     };
     use ac_cluster::{run_service, ServiceConfig};
     use ac_txn::Workload;
@@ -819,8 +810,7 @@ pub fn load_baseline_with(
     let client_levels: &[usize] = if quick { &[2, 8] } else { &[2, 8, 16] };
     let txns_per_client = if quick { 15 } else { 40 };
 
-    // Simulator sections first (protocol formulas + explorer wall-clock):
-    // the v2 baseline carries everything v1 did.
+    // Simulator sections first (protocol formulas + explorer wall-clock).
     let (mut r, mut baseline) = bench_baseline(jobs);
     r.id = "load".into();
 
@@ -882,12 +872,12 @@ pub fn load_baseline_with(
                     p50_micros: us(out.latency.p50()),
                     p90_micros: us(out.latency.p90()),
                     p99_micros: us(out.latency.p99()),
-                    p999_micros: Some(us(out.latency.p999())),
+                    p999_micros: us(out.latency.p999()),
                     max_micros: us(out.latency.max()),
                     safety_violations: out.violations.len(),
-                    wire_messages: Some(out.wire_messages),
-                    wire_per_txn: Some(out.wire_messages as f64 / out.txns.max(1) as f64),
-                    spurious_wakeups: Some(out.spurious_wakeups),
+                    wire_messages: out.wire_messages,
+                    wire_per_txn: out.wire_messages as f64 / out.txns.max(1) as f64,
+                    spurious_wakeups: out.spurious_wakeups,
                 });
             }
         }
@@ -906,11 +896,10 @@ pub fn load_baseline_with(
          no lock left held, no stalled client.",
     );
 
-    baseline.schema_version = 4;
     baseline.service = Some(ServiceBaseline {
         n,
         f,
-        transport: Some(transport.name().into()),
+        transport: transport.name().into(),
         unit_micros: SERVICE_UNIT.as_micros() as u64,
         entries,
     });
@@ -965,7 +954,6 @@ pub fn load_baseline_with(
                 && a.covered > 0
                 && (a.share_sum_pct() - 100.0).abs() <= 5.0;
             let verdict = r.compare(ok).to_string();
-            let us = |v: u64| v as f64 / 1e3;
             let mut row = vec![
                 kind.name().into(),
                 tk.name().into(),
@@ -973,47 +961,10 @@ pub fn load_baseline_with(
             ];
             row.extend((0..5).map(|i| format!("{:.1}", a.share_pct(i))));
             row.push(format!("{:.1}", a.share_sum_pct()));
-            row.push(format!("{:.2}", us(a.e2e.p50()) / 1e3));
+            row.push(format!("{:.2}", a.e2e.p50() as f64 / 1e6));
             row.push(verdict);
             at.row(row);
-            attr_entries.push(AttributionEntry {
-                protocol: kind.name().into(),
-                transport: tk.name().into(),
-                txns: a.total,
-                coverage_pct: a.coverage_pct(),
-                share_sum_pct: a.share_sum_pct(),
-                e2e_p50_micros: us(a.e2e.p50()),
-                e2e_p999_micros: us(a.e2e.p999()),
-                dropped_events: a.dropped_events,
-                alignment_max_uncertainty_micros: None,
-                stages: attribution_stage_names()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| AttributionStageEntry {
-                        stage: s.to_string(),
-                        p50_micros: us(a.stages[i].p50()),
-                        p99_micros: us(a.stages[i].p99()),
-                        share_pct: a.share_pct(i),
-                    })
-                    .collect(),
-                slowest: a
-                    .slowest
-                    .iter()
-                    .map(|tl| SlowTxn {
-                        txn: tl.txn,
-                        e2e_micros: tl.e2e_nanos() as f64 / 1e3,
-                        steps: tl
-                            .steps()
-                            .into_iter()
-                            .map(|(at_nanos, actor, label)| TimelineStep {
-                                at_micros: at_nanos as f64 / 1e3,
-                                actor,
-                                label,
-                            })
-                            .collect(),
-                    })
-                    .collect(),
-            });
+            attr_entries.push(AttributionEntry::new(kind.name(), tk.name(), a, None));
         }
     }
     r.table(at);
@@ -1088,7 +1039,7 @@ fn chaos_plan(scenario: &str, n: usize) -> ac_chaos::ChaosPlan {
 /// {2PC, Paxos-Commit, INBAC, D1CC} × {crash-coordinator,
 /// crash-participant, partition-heal, lossy-10}, each run through
 /// `ac-chaos` with a post-run safety audit, emitted as the `chaos`
-/// section of a schema-v4 baseline on top of everything the load
+/// section of a [`BenchBaseline`] on top of everything the load
 /// baseline carries (service sweep + attribution).
 ///
 /// The wall-clock face of the paper's trade-off, asserted as comparisons:
@@ -1255,11 +1206,10 @@ pub fn chaos_baseline_with(
          and lossy-10 — the documented price of logless one-delay commit.",
     );
 
-    baseline.schema_version = 4;
     baseline.chaos = Some(ChaosBaseline {
         n,
         f,
-        transport: Some(transport.name().into()),
+        transport: transport.name().into(),
         unit_micros: SERVICE_UNIT.as_micros() as u64,
         fault_from_units: CHAOS_WINDOW_UNITS.0,
         fault_until_units: CHAOS_WINDOW_UNITS.1,
@@ -1317,26 +1267,12 @@ pub(crate) fn saturate_cell(
     .service
 }
 
-/// The knee criterion: first step whose goodput gain over the previous
-/// step is < 10 % while p99 sojourn at least doubles. Falls back to the
-/// last step (`detected = false`) when no step qualifies.
-pub(crate) fn detect_knee(steps: &[(f64, f64)]) -> (usize, bool) {
-    for i in 1..steps.len() {
-        let (g0, p0) = steps[i - 1];
-        let (g1, p1) = steps[i];
-        if g1 < g0 * 1.10 && p1 >= 2.0 * p0 && p0 > 0.0 {
-            return (i, true);
-        }
-    }
-    (steps.len().saturating_sub(1), false)
-}
-
 /// **Saturation baseline** — the open-loop offered-vs-goodput sweep
 /// (`repro saturate`): Poisson arrivals stepped ×1 → ×16 over each
 /// (protocol, n, clients) cell with durability on, goodput measured over
 /// the trimmed steady-state window, per-curve knee detection and the
 /// per-stage attribution of the knee step, emitted as the `saturation`
-/// section of a schema-v5 baseline on top of everything the chaos
+/// section of a [`BenchBaseline`] on top of everything the chaos
 /// baseline carries. This is where group commit shows up as a counter:
 /// forces-per-txn falls below 1 once drained batches amortize the force.
 pub fn saturate_baseline(quick: bool, jobs: usize) -> (Report, BenchBaseline) {
@@ -1353,8 +1289,7 @@ pub fn saturate_baseline_with(
     transport: ac_cluster::TransportKind,
 ) -> (Report, BenchBaseline) {
     use crate::report::{
-        attribution_stage_names, AttributionStageEntry, SaturationBaseline, SaturationCurve,
-        SaturationKnee, SaturationStep,
+        dominant_stage, SaturationBaseline, SaturationCurve, SaturationKnee, SaturationStep,
     };
     use ac_commit::protocols::ProtocolKind;
     use std::time::Duration;
@@ -1423,7 +1358,6 @@ pub fn saturate_baseline_with(
     let mut curves = Vec::new();
     for (kind, n, clients) in cells {
         let mut steps = Vec::new();
-        let mut knee_inputs: Vec<(f64, f64)> = Vec::new();
         let mut attributions = Vec::new();
         for (i, &mult) in mults.iter().enumerate() {
             let rate = SATURATION_BASE_RATE * mult as f64;
@@ -1476,50 +1410,30 @@ pub fn saturate_baseline_with(
                 wire_per_txn: out.wire_messages as f64 / out.txns.max(1) as f64,
                 safety_violations: out.violations.len(),
             });
-            knee_inputs.push((goodput, us(out.latency.p99())));
             attributions.push(out.attribution);
         }
-        let (ki, detected) = detect_knee(&knee_inputs);
-        let a = &attributions[ki];
-        let stage_shares: Vec<AttributionStageEntry> = attribution_stage_names()
-            .iter()
-            .enumerate()
-            .map(|(i, s)| AttributionStageEntry {
-                stage: s.to_string(),
-                p50_micros: a.stages[i].p50() as f64 / 1e3,
-                p99_micros: a.stages[i].p99() as f64 / 1e3,
-                share_pct: a.share_pct(i),
-            })
-            .collect();
-        let dominant = stage_shares
-            .iter()
-            .max_by(|x, y| x.share_pct.total_cmp(&y.share_pct))
-            .map(|s| s.stage.clone())
-            .unwrap_or_default();
+        let knee = SaturationKnee::new(&steps, &attributions);
         // The knee itself is gated: attribution at the knee must still
         // telescope (its run was audited clean above).
-        let knee_ok = a.covered > 0 && (a.share_sum_pct() - 100.0).abs() <= 5.0;
+        let knee_ok =
+            attributions[knee.step].covered > 0 && (knee.share_sum_pct - 100.0).abs() <= 5.0;
         let verdict = r.compare(knee_ok).to_string();
         kt.row(vec![
             kind.name().into(),
             n.to_string(),
             clients.to_string(),
-            format!("x{}", mults[ki]),
-            if detected { "yes" } else { "no (last step)" }.into(),
-            format!("{:.0}", steps[ki].offered_tps),
-            format!("{:.0}", steps[ki].goodput_tps),
-            format!("{:.2}", steps[ki].p99_sojourn_micros / 1e3),
-            format!("{dominant} [{verdict}]"),
+            format!("x{}", mults[knee.step]),
+            if knee.detected {
+                "yes"
+            } else {
+                "no (last step)"
+            }
+            .into(),
+            format!("{:.0}", knee.offered_tps),
+            format!("{:.0}", knee.goodput_tps),
+            format!("{:.2}", knee.p99_sojourn_micros / 1e3),
+            format!("{} [{verdict}]", dominant_stage(&knee.stage_shares)),
         ]);
-        let knee = SaturationKnee {
-            step: ki,
-            detected,
-            offered_tps: steps[ki].offered_tps,
-            goodput_tps: knee_inputs[ki].0,
-            p99_sojourn_micros: knee_inputs[ki].1,
-            stage_shares,
-            share_sum_pct: a.share_sum_pct(),
-        };
         curves.push(SaturationCurve {
             protocol: kind.name().into(),
             transport: transport.name().into(),
@@ -1544,7 +1458,6 @@ pub fn saturate_baseline_with(
          batch instead of >= 2 per txn.",
     );
 
-    baseline.schema_version = 5;
     baseline.saturation = Some(SaturationBaseline {
         f: 1,
         unit_micros: SERVICE_UNIT.as_micros() as u64,
@@ -1631,22 +1544,27 @@ mod tests {
         assert!(r.all_matched(), "{}", r.render());
     }
 
+    /// The sections `validate_json` accepts in `baseline`.
+    fn validated_sections(baseline: &BenchBaseline) -> Vec<&'static str> {
+        BenchBaseline::validate_json(&baseline.to_json()).expect("baseline validates")
+    }
+
     #[test]
     fn bench_baseline_validates_and_covers_table5() {
         let (r, baseline) = bench_baseline(2);
         assert!(r.all_matched(), "{}", r.render());
-        assert_eq!(
-            crate::report::BenchBaseline::validate_json(&baseline.to_json()),
-            Ok(())
-        );
+        assert_eq!(validated_sections(&baseline), ["protocols", "explorer"]);
     }
 
     #[test]
-    fn chaos_baseline_quick_shows_the_blocking_contrast_and_validates_as_v4() {
+    fn chaos_baseline_quick_shows_the_blocking_contrast_and_validates() {
         let _serial = live_sweep_lock();
         let (r, baseline) = chaos_baseline(true, 2);
         assert!(r.all_matched(), "{}", r.render());
-        assert_eq!(baseline.schema_version, 4);
+        assert_eq!(
+            validated_sections(&baseline),
+            ["protocols", "explorer", "service", "attribution", "chaos"]
+        );
         let chaos = baseline.chaos.as_ref().expect("chaos section present");
         assert_eq!(chaos.entries.len(), 16, "4 protocols x 4 scenarios");
         // The acceptance contrast, re-checked on the emitted numbers:
@@ -1664,18 +1582,24 @@ mod tests {
         assert!(find("2PC", "crash-coordinator").blocked > 0);
         assert!(chaos.entries.iter().all(|e| e.safety_violations == 0));
         assert!(chaos.entries.iter().all(|e| e.stalled == 0));
-        assert_eq!(
-            crate::report::BenchBaseline::validate_json(&baseline.to_json()),
-            Ok(())
-        );
     }
 
     #[test]
-    fn saturate_baseline_quick_shows_the_group_commit_win_and_validates_as_v5() {
+    fn saturate_baseline_quick_shows_the_group_commit_win_and_validates() {
         let _serial = live_sweep_lock();
         let (r, baseline) = saturate_baseline(true, 2);
         assert!(r.all_matched(), "{}", r.render());
-        assert_eq!(baseline.schema_version, 5);
+        assert_eq!(
+            validated_sections(&baseline),
+            [
+                "protocols",
+                "explorer",
+                "service",
+                "attribution",
+                "chaos",
+                "saturation"
+            ]
+        );
         let sat = baseline.saturation.as_ref().expect("saturation section");
         assert_eq!(sat.curves.len(), 1, "quick sweeps one 2PC curve");
         let c = &sat.curves[0];
@@ -1701,24 +1625,25 @@ mod tests {
             assert_eq!(s.safety_violations, 0);
             assert!(s.goodput_tps <= s.offered_tps * 1.10, "{s:?}");
         }
-        assert_eq!(
-            crate::report::BenchBaseline::validate_json(&baseline.to_json()),
-            Ok(())
-        );
     }
 
     #[test]
-    fn load_baseline_quick_is_safe_and_validates_as_v4() {
+    fn load_baseline_quick_is_safe_and_validates() {
         let _serial = live_sweep_lock();
         let (r, baseline) = load_baseline(true, 2);
         assert!(r.all_matched(), "{}", r.render());
-        assert_eq!(baseline.schema_version, 4);
-        // The p99.9 satellite: every fresh service entry carries the tail
-        // percentile, ordered sanely against p99 and max.
+        assert_eq!(
+            validated_sections(&baseline),
+            ["protocols", "explorer", "service", "attribution"]
+        );
+        // Every service entry's tail percentile is ordered sanely against
+        // p99 and max.
         let service = baseline.service.as_ref().expect("service section");
         for e in &service.entries {
-            let p999 = e.p999_micros.expect("fresh entries carry p99.9");
-            assert!(e.p99_micros <= p999 && p999 <= e.max_micros, "{e:?}");
+            assert!(
+                e.p99_micros <= e.p999_micros && e.p999_micros <= e.max_micros,
+                "{e:?}"
+            );
         }
         // The attribution tentpole: all seven Table-5 protocols on both
         // transports, each with positive coverage and telescoping shares.
@@ -1740,9 +1665,5 @@ mod tests {
             );
             assert!(!e.slowest.is_empty(), "slowest timelines embedded");
         }
-        assert_eq!(
-            crate::report::BenchBaseline::validate_json(&baseline.to_json()),
-            Ok(())
-        );
     }
 }

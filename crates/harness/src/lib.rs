@@ -17,9 +17,11 @@
 //! Each experiment returns a [`report::Report`] that renders as aligned
 //! text (what `repro` prints and EXPERIMENTS.md records) and serializes to
 //! JSON for downstream tooling. Explorer-backed experiments take a `jobs`
-//! worker-thread count (the `repro` binary's `--jobs` flag); `bench`
-//! additionally emits the [`report::BenchBaseline`] snapshot written to
-//! `BENCH_baseline.json` and validated by `repro bench-check` in CI.
+//! worker-thread count (the `repro` binary's `--jobs` flag). `bench` and
+//! the live sweeps (`load`, `chaos`, `saturate`, `proc`) additionally emit
+//! a [`report::BenchBaseline`] snapshot — one format, whose sections and
+//! validation rules live in [`report`] — written to `BENCH_baseline.json`
+//! and validated by `repro bench-check` in CI.
 
 #![deny(missing_docs)]
 

@@ -21,7 +21,7 @@
 use serde::Serialize;
 
 use crate::experiments::load_baseline;
-use crate::report::{BenchBaseline, Report, Table};
+use crate::report::{BenchBaseline, Report, Table, SCHEMA_VERSION};
 
 /// Maximum tolerated drop in commit rate (percentage points) before the
 /// counter-backed gate fails. Commit rates under contention are counters,
@@ -51,8 +51,6 @@ pub struct PerfCheck {
 /// The machine-readable comparison artifact (uploaded by CI).
 #[derive(Clone, Debug, Serialize)]
 pub struct PerfComparison {
-    /// Schema version of the baseline compared against.
-    pub against_schema: u64,
     /// Every compared metric.
     pub checks: Vec<PerfCheck>,
     /// Number of failed counter-exact checks (0 = gate passes).
@@ -93,9 +91,13 @@ pub fn perf_compare(
 ) -> Result<(Report, PerfComparison, BenchBaseline), String> {
     let against: serde_json::Value = serde_json::from_str(against_text)
         .map_err(|e| format!("--against file is not valid JSON: {e:?}"))?;
-    let against_schema = against["schema_version"]
-        .as_u64()
-        .ok_or("--against file has no schema_version")?;
+    if against["schema_version"].as_u64() != Some(SCHEMA_VERSION.into()) {
+        return Err(format!(
+            "--against file must be a schema {SCHEMA_VERSION} baseline, got schema_version {:?}",
+            against["schema_version"]
+        ));
+    }
+    let present = |section: &str| !matches!(against[section], serde_json::Value::Null);
 
     let (_, current) = load_baseline(quick, jobs);
     let mut checks: Vec<PerfCheck> = Vec::new();
@@ -160,12 +162,12 @@ pub fn perf_compare(
         ok: true,
     });
 
-    // --- Chaos section (schema v3): the committed availability numbers
+    // --- Chaos section: the committed availability numbers
     // are not re-measured here (`repro chaos` owns that), but a baseline
     // whose faulted runs were not clean must never pass the gate. These
     // checks are static: both columns show the committed value (nothing
     // was re-measured), and `ok` demands it be zero.
-    if against_schema >= 3 {
+    if present("chaos") {
         let chaos_entries = against["chaos"]["entries"].as_array().unwrap_or(&empty);
         for e in chaos_entries {
             let label = format!(
@@ -192,12 +194,12 @@ pub fn perf_compare(
         }
     }
 
-    // --- Attribution section (schema v4): like the chaos gates, static
+    // --- Attribution section: like the chaos gates, static
     // checks on the committed numbers — a baseline whose stage shares do
     // not telescope to the end-to-end time (±5 %) or that covered no
     // transactions was produced by a broken flight recorder and must
     // never pass. ---
-    if against_schema >= 4 {
+    if present("attribution") {
         let attr_entries = against["attribution"]["entries"]
             .as_array()
             .unwrap_or(&empty);
@@ -226,12 +228,12 @@ pub fn perf_compare(
         }
     }
 
-    // --- Saturation section (schema v5): static checks on the committed
+    // --- Saturation section: static checks on the committed
     // curves — every curve must carry an in-range knee whose stage shares
     // telescope, goodput must never exceed the offered load, and the
     // committed (full) baseline must cover all seven Table-5 protocols on
     // the channel transport. ---
-    if against_schema >= 5 {
+    if present("saturation") {
         let curves = against["saturation"]["curves"].as_array().unwrap_or(&empty);
         for protocol in crate::report::table5_protocol_names() {
             let covered = curves.iter().any(|c| {
@@ -378,13 +380,13 @@ pub fn perf_compare(
             });
         }
         // Wire cost per transaction: counter-backed, bounded growth.
-        if let (Some(bw), Some(cw)) = (f(&base["wire_per_txn"]), e.wire_per_txn) {
+        if let Some(bw) = f(&base["wire_per_txn"]) {
             checks.push(PerfCheck {
                 gate: "exact".into(),
                 key: format!("{label} wire msgs/txn (≤{WIRE_PER_TXN_TOLERANCE}x)"),
                 against: bw,
-                current: cw,
-                ok: cw <= bw * WIRE_PER_TXN_TOLERANCE,
+                current: e.wire_per_txn,
+                ok: e.wire_per_txn <= bw * WIRE_PER_TXN_TOLERANCE,
             });
         }
         // Wall-clock drift: informational.
@@ -396,11 +398,7 @@ pub fn perf_compare(
             ),
             ("p50 µs", e.p50_micros, f(&base["p50_micros"])),
             ("p99 µs", e.p99_micros, f(&base["p99_micros"])),
-            (
-                "p99.9 µs",
-                e.p999_micros.unwrap_or(f64::NAN),
-                e.p999_micros.and(f(&base["p999_micros"])),
-            ),
+            ("p99.9 µs", e.p999_micros, f(&base["p999_micros"])),
         ] {
             if let Some(b) = b {
                 checks.push(PerfCheck {
@@ -415,11 +413,7 @@ pub fn perf_compare(
     }
 
     let failed = checks.iter().filter(|c| !c.ok).count();
-    let comparison = PerfComparison {
-        against_schema,
-        checks,
-        failed,
-    };
+    let comparison = PerfComparison { checks, failed };
 
     // Render the report.
     let mut r = Report::new("perf");
@@ -493,7 +487,9 @@ mod tests {
     }
 
     #[test]
-    fn garbage_against_file_is_rejected() {
+    fn garbage_or_old_schema_against_file_is_rejected() {
         assert!(perf_compare(true, 1, "not json").is_err());
+        let err = perf_compare(true, 1, r#"{"schema_version": 4}"#).unwrap_err();
+        assert!(err.contains("schema 5"), "{err}");
     }
 }

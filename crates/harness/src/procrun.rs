@@ -3,8 +3,8 @@
 //! observability export through the cross-process tracing path (echo
 //! round trips for clock alignment, `ObsPull`/`ObsDump` control frames,
 //! a binary [`ClusterDump`] per run), and fold the results into the
-//! schema-v5 bench baseline as `"proc"`-transport attribution entries
-//! plus an open-loop saturation curve.
+//! bench baseline as `"proc"`-transport attribution entries plus an
+//! open-loop saturation curve.
 //!
 //! The point of this sweep is *fidelity*, not scale: the same protocols
 //! the in-process attribution sweep measures, but with each node's
@@ -27,11 +27,11 @@ use ac_obs::{max_uncertainty_nanos, ClusterDump, Stage};
 use ac_txn::Workload;
 
 use crate::experiments::{
-    detect_knee, SATURATION_BASE_RATE, SATURATION_MAX_OUTSTANDING, SERVICE_GRID, SERVICE_UNIT,
+    SATURATION_BASE_RATE, SATURATION_MAX_OUTSTANDING, SERVICE_GRID, SERVICE_UNIT,
 };
 use crate::report::{
-    attribution_stage_names, AttributionEntry, AttributionStageEntry, BenchBaseline,
-    SaturationBaseline, SaturationCurve, SaturationKnee, SaturationStep, SlowTxn, TimelineStep,
+    dominant_stage, AttributionEntry, AttributionStageEntry, BenchBaseline, SaturationBaseline,
+    SaturationCurve, SaturationKnee, SaturationStep,
 };
 use crate::{Report, Table};
 
@@ -299,34 +299,14 @@ fn trimmed_goodput_tps(dump: &ClusterDump) -> f64 {
     committed_in_window as f64 / ((hi - lo) as f64 / 1e9)
 }
 
-fn stage_entries(a: &ac_obs::Attribution) -> Vec<AttributionStageEntry> {
-    attribution_stage_names()
-        .iter()
-        .enumerate()
-        .map(|(i, s)| AttributionStageEntry {
-            stage: s.to_string(),
-            p50_micros: a.stages[i].p50() as f64 / 1e3,
-            p99_micros: a.stages[i].p99() as f64 / 1e3,
-            share_pct: a.share_pct(i),
-        })
-        .collect()
-}
-
-fn dominant_stage(stages: &[AttributionStageEntry]) -> String {
-    stages
-        .iter()
-        .max_by(|x, y| x.share_pct.total_cmp(&y.share_pct))
-        .map(|s| s.stage.clone())
-        .unwrap_or_default()
-}
-
 /// **Proc baseline** — the multi-process sweep (`repro proc`): every
 /// Table-5 protocol served by real `ac-node`/`ac-client` processes over
 /// loopback TCP, attribution computed from the collected per-process
 /// exports (clock-aligned), plus an open-loop 2PC saturation curve.
 /// Emitted on top of everything [`crate::experiments::load_baseline`]
-/// carries, as a schema-v5 baseline whose attribution section has
-/// `"proc"` entries riding along the required channel × tcp grid.
+/// carries: the attribution section gains `"proc"` entries riding along
+/// the required channel × tcp grid, and the saturation section holds the
+/// proc curve.
 pub fn proc_baseline(
     quick: bool,
     jobs: usize,
@@ -378,8 +358,9 @@ pub fn proc_baseline(
         let dump = art.dump;
         let a = dump.attribution(SLOWEST_KEPT);
         let align_us = max_uncertainty_nanos(&dump.alignments) as f64 / 1e3;
-        let stages = stage_entries(&a);
-        let dominant = dominant_stage(&stages);
+        let entry = AttributionEntry::new(kind.name(), "proc", &a, Some(align_us));
+        let stages = &entry.stages;
+        let dominant = dominant_stage(stages);
         // The cross-run agreement gate: the in-process channel entry of
         // the same protocol/seed/config must blame the same stage. The
         // `channel` stage (client submit -> node dispatch) is the one
@@ -413,7 +394,7 @@ pub fn proc_baseline(
             dominant_stage(&kept)
         };
         let dominant_agrees = dominant == channel_dominant
-            || sans_dispatch(&stages) == sans_dispatch(&channel_entry_stages);
+            || sans_dispatch(stages) == sans_dispatch(&channel_entry_stages);
         let ok = dump.exports.len() == n
             && dump.alignments.len() == n
             && dump.stats.stalled == 0
@@ -426,38 +407,10 @@ pub fn proc_baseline(
         row.push(format!("{:.1}", a.share_sum_pct()));
         row.push(format!("{:.2}", a.e2e.p50() as f64 / 1e6));
         row.push(format!("{align_us:.0}"));
-        row.push(dominant.clone());
+        row.push(dominant);
         row.push(verdict);
         at.row(row);
-        proc_entries.push(AttributionEntry {
-            protocol: kind.name().into(),
-            transport: "proc".into(),
-            txns: a.total,
-            coverage_pct: a.coverage_pct(),
-            share_sum_pct: a.share_sum_pct(),
-            e2e_p50_micros: a.e2e.p50() as f64 / 1e3,
-            e2e_p999_micros: a.e2e.p999() as f64 / 1e3,
-            dropped_events: a.dropped_events,
-            alignment_max_uncertainty_micros: Some(align_us),
-            stages,
-            slowest: a
-                .slowest
-                .iter()
-                .map(|tl| SlowTxn {
-                    txn: tl.txn,
-                    e2e_micros: tl.e2e_nanos() as f64 / 1e3,
-                    steps: tl
-                        .steps()
-                        .into_iter()
-                        .map(|(at_nanos, actor, label)| TimelineStep {
-                            at_micros: at_nanos as f64 / 1e3,
-                            actor,
-                            label,
-                        })
-                        .collect(),
-                })
-                .collect(),
-        });
+        proc_entries.push(entry);
     }
     r.table(at);
     r.note(
@@ -509,7 +462,6 @@ pub fn proc_baseline(
         ],
     );
     let mut steps = Vec::new();
-    let mut knee_inputs: Vec<(f64, f64)> = Vec::new();
     let mut attributions = Vec::new();
     for (i, &mult) in mults.iter().enumerate() {
         let rate = SATURATION_BASE_RATE * mult as f64;
@@ -565,33 +517,25 @@ pub fn proc_baseline(
             wire_per_txn: wire_frames_of(&dump) as f64 / txns.max(1) as f64,
             safety_violations: 0,
         });
-        knee_inputs.push((goodput, us(hist.p99())));
         attributions.push(a);
     }
-    let (ki, detected) = detect_knee(&knee_inputs);
-    let a = &attributions[ki];
-    let stage_shares = stage_entries(a);
-    let knee_ok = a.covered > 0 && (a.share_sum_pct() - 100.0).abs() <= 5.0;
+    let knee = SaturationKnee::new(&steps, &attributions);
+    let knee_ok = attributions[knee.step].covered > 0 && (knee.share_sum_pct - 100.0).abs() <= 5.0;
     let verdict = r.compare(knee_ok).to_string();
     r.note(format!(
         "saturation knee at x{} ({}): offered {:.0} t/s, goodput {:.0} t/s, \
          dominant stage {} [{}]",
-        mults[ki],
-        if detected { "detected" } else { "last step" },
-        steps[ki].offered_tps,
-        steps[ki].goodput_tps,
-        dominant_stage(&stage_shares),
+        mults[knee.step],
+        if knee.detected {
+            "detected"
+        } else {
+            "last step"
+        },
+        knee.offered_tps,
+        knee.goodput_tps,
+        dominant_stage(&knee.stage_shares),
         verdict,
     ));
-    let knee = SaturationKnee {
-        step: ki,
-        detected,
-        offered_tps: steps[ki].offered_tps,
-        goodput_tps: knee_inputs[ki].0,
-        p99_sojourn_micros: knee_inputs[ki].1,
-        stage_shares,
-        share_sum_pct: a.share_sum_pct(),
-    };
     r.table(st);
     r.note(
         "open-loop over real processes: the spec file carries \
@@ -601,7 +545,6 @@ pub fn proc_baseline(
          goodput over the trimmed steady-state window, frames/txn from \
          the per-peer transport counters in each node's export.",
     );
-    baseline.schema_version = 5;
     baseline.saturation = Some(SaturationBaseline {
         f,
         unit_micros: SERVICE_UNIT.as_micros() as u64,

@@ -3,6 +3,7 @@
 //! ([`BenchBaseline`]) that seeds the repository's performance
 //! trajectory (`BENCH_baseline.json`).
 
+use ac_obs::Attribution;
 use serde::Serialize;
 
 /// A rendered table: header + rows of strings, pre-formatted by the
@@ -214,7 +215,7 @@ pub struct ExplorerBaseline {
     pub speedup: f64,
 }
 
-/// The protocols the schema-v2 `service` section must cover: the
+/// The protocols the `service` section must cover: the
 /// head-to-head comparison of the live load (2PC vs Paxos-Commit vs INBAC
 /// vs D1CC — blocking baseline, consensus-upfront, indulgent fast-path,
 /// logless one-phase). The single source of truth for that list: the
@@ -263,26 +264,24 @@ pub struct ServiceEntry {
     /// 99th-percentile latency, microseconds.
     pub p99_micros: f64,
     /// 99.9th-percentile latency, microseconds — the straggler tail the
-    /// flight recorder explains (optional: baselines written before the
-    /// observability layer lack it).
-    pub p999_micros: Option<f64>,
+    /// flight recorder explains.
+    pub p999_micros: f64,
     /// Maximum latency, microseconds.
     pub max_micros: f64,
     /// Safety violations found by the post-run audit (must be 0).
     pub safety_violations: usize,
-    /// Protocol messages that crossed node boundaries (counter-exact;
-    /// optional — baselines written before the perf upgrade lack it).
-    pub wire_messages: Option<usize>,
+    /// Protocol messages that crossed node boundaries (counter-exact).
+    pub wire_messages: usize,
     /// `wire_messages / txns` — the per-transaction wire cost the perf
-    /// gate diffs (counter-backed, so gated strictly; optional as above).
-    pub wire_per_txn: Option<f64>,
+    /// gate diffs (counter-backed, so gated strictly).
+    pub wire_per_txn: f64,
     /// Node-loop wakeups that found no work (see
-    /// `ac_cluster::ServiceOutcome::spurious_wakeups`; optional as above).
-    pub spurious_wakeups: Option<usize>,
+    /// `ac_cluster::ServiceOutcome::spurious_wakeups`).
+    pub spurious_wakeups: usize,
 }
 
-/// The chaos scenarios a schema-v3 `chaos` section must cover, per
-/// protocol: the ISSUE-5 sweep axes. The single source of truth shared by
+/// The chaos scenarios the `chaos` section must cover, per protocol.
+/// The single source of truth shared by
 /// the `repro chaos` emitter and the validator.
 pub fn chaos_scenario_names() -> [&'static str; 4] {
     [
@@ -340,7 +339,7 @@ pub struct ChaosEntry {
     pub wire_messages: usize,
 }
 
-/// The schema-v3 `chaos` section: availability under failure, per
+/// The `chaos` section: availability under failure, per
 /// (protocol, scenario).
 #[derive(Clone, Debug, Serialize)]
 pub struct ChaosBaseline {
@@ -348,9 +347,8 @@ pub struct ChaosBaseline {
     pub n: usize,
     /// Crash-resilience parameter.
     pub f: usize,
-    /// Transport the sweep ran over (`"channel"` or `"tcp"`; `None` in
-    /// baselines written before the transport seam existed = channel).
-    pub transport: Option<String>,
+    /// Transport the sweep ran over (`"channel"` or `"tcp"`).
+    pub transport: String,
     /// Wall-clock length of one virtual delay unit, microseconds.
     pub unit_micros: u64,
     /// Fault window start, virtual units.
@@ -361,8 +359,8 @@ pub struct ChaosBaseline {
     pub entries: Vec<ChaosEntry>,
 }
 
-/// The transports the schema-v4 `attribution` section must cover for
-/// every Table-5 protocol.
+/// The transports the `attribution` section must cover for every
+/// Table-5 protocol.
 pub fn attribution_transport_names() -> [&'static str; 2] {
     ["channel", "tcp"]
 }
@@ -385,6 +383,32 @@ pub struct AttributionStageEntry {
     pub p99_micros: f64,
     /// Share of total end-to-end time spent in this stage, per cent.
     pub share_pct: f64,
+}
+
+impl AttributionStageEntry {
+    /// One row per [`attribution_stage_names`] stage of `a`, same order.
+    pub fn all(a: &Attribution) -> Vec<AttributionStageEntry> {
+        attribution_stage_names()
+            .iter()
+            .enumerate()
+            .map(|(i, s)| AttributionStageEntry {
+                stage: s.to_string(),
+                p50_micros: a.stages[i].p50() as f64 / 1e3,
+                p99_micros: a.stages[i].p99() as f64 / 1e3,
+                share_pct: a.share_pct(i),
+            })
+            .collect()
+    }
+}
+
+/// The name of the stage with the largest share of `stages` (empty when
+/// there are none) — the layer a run's latency is blamed on.
+pub fn dominant_stage(stages: &[AttributionStageEntry]) -> String {
+    stages
+        .iter()
+        .max_by(|x, y| x.share_pct.total_cmp(&y.share_pct))
+        .map(|s| s.stage.clone())
+        .unwrap_or_default()
 }
 
 /// One step of an embedded slowest-transaction timeline (the shape
@@ -445,8 +469,51 @@ pub struct AttributionEntry {
     pub slowest: Vec<SlowTxn>,
 }
 
-/// The schema-v4 `attribution` section: per-stage latency decomposition
-/// of every Table-5 protocol on both transports.
+impl AttributionEntry {
+    /// The entry of `protocol` over `transport` measured by `a`;
+    /// `alignment_max_uncertainty_micros` is `Some` only for a `"proc"`
+    /// run, whose nodes each have their own clock.
+    pub fn new(
+        protocol: &str,
+        transport: &str,
+        a: &Attribution,
+        alignment_max_uncertainty_micros: Option<f64>,
+    ) -> AttributionEntry {
+        let us = |v: u64| v as f64 / 1e3;
+        AttributionEntry {
+            protocol: protocol.into(),
+            transport: transport.into(),
+            txns: a.total,
+            coverage_pct: a.coverage_pct(),
+            share_sum_pct: a.share_sum_pct(),
+            e2e_p50_micros: us(a.e2e.p50()),
+            e2e_p999_micros: us(a.e2e.p999()),
+            dropped_events: a.dropped_events,
+            alignment_max_uncertainty_micros,
+            stages: AttributionStageEntry::all(a),
+            slowest: a
+                .slowest
+                .iter()
+                .map(|tl| SlowTxn {
+                    txn: tl.txn,
+                    e2e_micros: us(tl.e2e_nanos()),
+                    steps: tl
+                        .steps()
+                        .into_iter()
+                        .map(|(at_nanos, actor, label)| TimelineStep {
+                            at_micros: us(at_nanos),
+                            actor,
+                            label,
+                        })
+                        .collect(),
+                })
+                .collect(),
+        }
+    }
+}
+
+/// The `attribution` section: per-stage latency decomposition of every
+/// Table-5 protocol on both transports.
 #[derive(Clone, Debug, Serialize)]
 pub struct AttributionBaseline {
     /// Number of nodes (= shards).
@@ -526,6 +593,31 @@ pub struct SaturationKnee {
     pub share_sum_pct: f64,
 }
 
+impl SaturationKnee {
+    /// Detect the knee of a curve's `steps`, where `attributions[i]` is
+    /// the attribution of the run behind `steps[i]`.
+    pub fn new(steps: &[SaturationStep], attributions: &[Attribution]) -> SaturationKnee {
+        let (step, detected) = (1..steps.len())
+            .find(|&i| {
+                let (s0, s1) = (&steps[i - 1], &steps[i]);
+                s1.goodput_tps < s0.goodput_tps * 1.10
+                    && s1.p99_sojourn_micros >= 2.0 * s0.p99_sojourn_micros
+                    && s0.p99_sojourn_micros > 0.0
+            })
+            .map_or((steps.len().saturating_sub(1), false), |i| (i, true));
+        let (s, a) = (&steps[step], &attributions[step]);
+        SaturationKnee {
+            step,
+            detected,
+            offered_tps: s.offered_tps,
+            goodput_tps: s.goodput_tps,
+            p99_sojourn_micros: s.p99_sojourn_micros,
+            stage_shares: AttributionStageEntry::all(a),
+            share_sum_pct: a.share_sum_pct(),
+        }
+    }
+}
+
 /// One saturation curve: offered load stepped over a fixed
 /// (protocol, transport, n, clients) cell.
 #[derive(Clone, Debug, Serialize)]
@@ -546,7 +638,7 @@ pub struct SaturationCurve {
     pub knee: SaturationKnee,
 }
 
-/// The schema-v5 `saturation` section: open-loop offered-vs-goodput
+/// The `saturation` section: open-loop offered-vs-goodput
 /// curves with per-curve knee detection and per-stage attribution at the
 /// knee.
 #[derive(Clone, Debug, Serialize)]
@@ -559,7 +651,7 @@ pub struct SaturationBaseline {
     pub curves: Vec<SaturationCurve>,
 }
 
-/// The schema-v2 `service` section: the live `ac-cluster` transaction
+/// The `service` section: the live `ac-cluster` transaction
 /// service measured under closed-loop load.
 #[derive(Clone, Debug, Serialize)]
 pub struct ServiceBaseline {
@@ -567,14 +659,18 @@ pub struct ServiceBaseline {
     pub n: usize,
     /// Crash-resilience parameter.
     pub f: usize,
-    /// Transport the sweep ran over (`"channel"` or `"tcp"`; `None` in
-    /// baselines written before the transport seam existed = channel).
-    pub transport: Option<String>,
+    /// Transport the sweep ran over (`"channel"` or `"tcp"`).
+    pub transport: String,
     /// Wall-clock length of one virtual delay unit, microseconds.
     pub unit_micros: u64,
     /// One entry per (protocol, workload, concurrency) combination.
     pub entries: Vec<ServiceEntry>,
 }
+
+/// The baseline format version: every writer emits it (through
+/// [`BenchBaseline::new`]) and [`BenchBaseline::validate_json`] accepts
+/// no other.
+pub const SCHEMA_VERSION: u32 = 5;
 
 /// The machine-readable bench baseline written to `BENCH_baseline.json`.
 ///
@@ -583,20 +679,15 @@ pub struct ServiceBaseline {
 /// semantics are documented field-by-field in the README ("The bench
 /// baseline" section).
 ///
-/// Five schema versions exist: **v1** (`repro bench`) carries the
-/// simulator numbers only; **v2** (legacy `repro load`) additionally
-/// carries the live [`ServiceBaseline`]; **v3** (legacy `repro chaos`)
-/// additionally carries the [`ChaosBaseline`]
-/// availability-under-failure section; **v4** (current `repro load` /
-/// `repro chaos`) additionally carries the [`AttributionBaseline`]
-/// per-stage latency decomposition (the `chaos` section stays optional
-/// in v4 — `repro load` emits without it, `repro chaos` with it);
-/// **v5** (`repro saturate`) additionally carries the
-/// [`SaturationBaseline`] open-loop offered-vs-goodput curves with knee
-/// detection. The validator accepts all five.
+/// One format, [`SCHEMA_VERSION`]: the simulator sections (`protocols`,
+/// `explorer`) are always present; each sweep fills the live sections it
+/// measures and leaves the others `null` — `repro bench` none, `repro
+/// load` [`ServiceBaseline`] and [`AttributionBaseline`], `repro chaos`
+/// additionally [`ChaosBaseline`], `repro saturate` and `repro proc`
+/// additionally [`SaturationBaseline`] (`repro proc` without chaos).
 #[derive(Clone, Debug, Serialize)]
 pub struct BenchBaseline {
-    /// Format version; bump on breaking layout changes.
+    /// Format version, always [`SCHEMA_VERSION`].
     pub schema_version: u32,
     /// Worker threads the harness was invoked with.
     pub jobs: usize,
@@ -604,18 +695,38 @@ pub struct BenchBaseline {
     pub protocols: Vec<ProtocolBaseline>,
     /// Explorer wall-clock numbers.
     pub explorer: ExplorerBaseline,
-    /// Live-service numbers (schema v2+; `None` serializes as `null` in a
-    /// v1 baseline).
+    /// Live-service numbers (`null` when the sweep did not measure them).
     pub service: Option<ServiceBaseline>,
-    /// Availability-under-failure numbers (schema v3; optional in v4).
+    /// Availability-under-failure numbers (`null` unless `repro chaos` /
+    /// `repro saturate` wrote the file).
     pub chaos: Option<ChaosBaseline>,
-    /// Per-stage latency attribution (schema v4).
+    /// Per-stage latency attribution (`null` for `repro bench`).
     pub attribution: Option<AttributionBaseline>,
-    /// Open-loop saturation curves with knee detection (schema v5).
+    /// Open-loop saturation curves with knee detection (`null` unless
+    /// `repro saturate` / `repro proc` wrote the file).
     pub saturation: Option<SaturationBaseline>,
 }
 
 impl BenchBaseline {
+    /// A baseline carrying the simulator sections only; the sweeps fill
+    /// in the live sections they measure.
+    pub fn new(
+        jobs: usize,
+        protocols: Vec<ProtocolBaseline>,
+        explorer: ExplorerBaseline,
+    ) -> BenchBaseline {
+        BenchBaseline {
+            schema_version: SCHEMA_VERSION,
+            jobs,
+            protocols,
+            explorer,
+            service: None,
+            chaos: None,
+            attribution: None,
+            saturation: None,
+        }
+    }
+
     /// Pretty-printed JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("baseline serialization cannot fail")
@@ -626,37 +737,38 @@ impl BenchBaseline {
         std::fs::write(path, self.to_json() + "\n")
     }
 
-    /// Validate a serialized baseline: parses as JSON, carries a known
-    /// schema version (1–5), covers **all seven Table-5 protocols**,
-    /// and reports a non-empty, counterexample-free exploration. A v2+
-    /// baseline must additionally carry a `service` section covering every
-    /// [`service_protocol_names`] protocol at ≥ 2 concurrency levels with
-    /// zero safety violations and zero stalls. A v3 baseline must
-    /// additionally carry a `chaos` section covering every
-    /// (service protocol × [`chaos_scenario_names`] scenario) pair, each
-    /// with a clean safety audit and zero unresolved transactions. A v4
-    /// baseline must additionally carry an `attribution` section covering
-    /// every ([`table5_protocol_names`] ×
-    /// [`attribution_transport_names`]) pair with positive coverage and
-    /// stage shares summing to 100 ± 5 % (its `chaos` section is
-    /// optional but validated when present). A v5 baseline must
-    /// additionally carry a `saturation` section: non-empty curves, each
-    /// with ≥ 2 safety-clean steps whose goodput never exceeds the
-    /// offered load, a knee pointing into the steps, and knee stage
-    /// shares summing to 100 ± 5 %. Returns a list of problems
-    /// (empty = valid). This is what CI's bench-smoke, load-smoke,
-    /// chaos-smoke, saturate-smoke and trace-smoke jobs run via
-    /// `repro bench-check`.
-    pub fn validate_json(text: &str) -> Result<(), Vec<String>> {
-        let mut problems = Vec::new();
+    /// Validate a serialized baseline and return the sections it
+    /// validated, in the order protocols, explorer, service, attribution,
+    /// chaos, saturation.
+    ///
+    /// The file must parse as JSON, carry [`SCHEMA_VERSION`], cover **all
+    /// seven Table-5 protocols** with formula-matching complexity, and
+    /// report a non-empty, counterexample-free exploration. Every live
+    /// section that is present (non-null) is checked too:
+    ///
+    /// * `service` — every [`service_protocol_names`] protocol at ≥ 2
+    ///   concurrency levels, zero safety violations and zero stalls;
+    /// * `attribution` — every ([`table5_protocol_names`] ×
+    ///   [`attribution_transport_names`]) pair with positive coverage and
+    ///   stage shares summing to 100 ± 5 %;
+    /// * `chaos` — every (service protocol × [`chaos_scenario_names`])
+    ///   pair with a clean safety audit and zero unresolved transactions;
+    /// * `saturation` — non-empty curves, each with ≥ 2 safety-clean steps
+    ///   whose goodput never exceeds the offered load, a knee pointing
+    ///   into the steps, and knee stage shares summing to 100 ± 5 %.
+    ///
+    /// Returns every problem found otherwise. CI's smoke jobs run this via
+    /// `repro bench-check` and grep its section list for the sections
+    /// their sweep must emit.
+    pub fn validate_json(text: &str) -> Result<Vec<&'static str>, Vec<String>> {
         let v: serde_json::Value = match serde_json::from_str(text) {
             Ok(v) => v,
             Err(e) => return Err(vec![format!("not valid JSON: {e:?}")]),
         };
-        let schema = v["schema_version"].as_u64();
-        if !matches!(schema, Some(1..=5)) {
+        let mut problems = Vec::new();
+        if v["schema_version"].as_u64() != Some(SCHEMA_VERSION.into()) {
             problems.push(format!(
-                "schema_version must be 1, 2, 3, 4 or 5, got {:?}",
+                "schema_version must be {SCHEMA_VERSION}, got {:?}",
                 v["schema_version"]
             ));
         }
@@ -696,45 +808,39 @@ impl BenchBaseline {
                 problems.push(format!("explorer.{key} must be a positive number"));
             }
         }
-        if matches!(schema, Some(2..=5)) {
-            Self::validate_service(&v["service"], &mut problems);
-        }
-        if schema == Some(3)
-            || (matches!(schema, Some(4) | Some(5))
-                && !matches!(v["chaos"], serde_json::Value::Null))
-        {
-            Self::validate_chaos(&v["chaos"], &mut problems);
-        }
-        if matches!(schema, Some(4) | Some(5)) {
-            Self::validate_attribution(&v["attribution"], &mut problems);
-        }
-        if schema == Some(5) {
-            Self::validate_saturation(&v["saturation"], &mut problems);
+        type Rules = fn(&serde_json::Value, &mut Vec<String>);
+        let live: [(&'static str, Rules); 4] = [
+            ("service", Self::validate_service),
+            ("attribution", Self::validate_attribution),
+            ("chaos", Self::validate_chaos),
+            ("saturation", Self::validate_saturation),
+        ];
+        let mut sections = vec!["protocols", "explorer"];
+        for (name, rules) in live {
+            if !matches!(v[name], serde_json::Value::Null) {
+                rules(&v[name], &mut problems);
+                sections.push(name);
+            }
         }
         if problems.is_empty() {
-            Ok(())
+            Ok(sections)
         } else {
             Err(problems)
         }
     }
 
-    /// The optional `transport` marker: absent/null (legacy baselines,
-    /// meaning channel) or one of the known transport names —
-    /// `"channel"` (in-process channels), `"tcp"` (in-process sockets)
-    /// or `"proc"` (real multi-process cluster over sockets).
+    /// The `transport` marker: `"channel"` (in-process channels), `"tcp"`
+    /// (in-process sockets) or `"proc"` (real multi-process cluster over
+    /// sockets).
     fn check_transport(section: &str, t: &serde_json::Value, problems: &mut Vec<String>) {
-        if matches!(t, serde_json::Value::Null) {
-            return;
-        }
-        if !matches!(t.as_str(), Some("channel") | Some("tcp") | Some("proc")) {
+        if !matches!(t.as_str(), Some("channel" | "tcp" | "proc")) {
             problems.push(format!(
-                "{section}.transport must be \"channel\", \"tcp\" or \"proc\" when present, \
-                 got {t:?}"
+                "{section}.transport must be \"channel\", \"tcp\" or \"proc\", got {t:?}"
             ));
         }
     }
 
-    /// Schema-v4 `attribution` section rules (see
+    /// `attribution` section rules (see
     /// [`BenchBaseline::validate_json`]): full Table-5 × transport
     /// coverage, all five canonical stages per entry, positive timeline
     /// coverage, and stage shares summing to 100 ± 5 % of the measured
@@ -743,7 +849,7 @@ impl BenchBaseline {
         let empty = Vec::new();
         let entries = attr["entries"].as_array().unwrap_or(&empty);
         if entries.is_empty() {
-            problems.push("schema v4 requires a non-empty attribution.entries".into());
+            problems.push("attribution is present but attribution.entries is empty".into());
             return;
         }
         for protocol in table5_protocol_names() {
@@ -798,7 +904,7 @@ impl BenchBaseline {
         }
     }
 
-    /// Schema-v5 `saturation` section rules (see
+    /// `saturation` section rules (see
     /// [`BenchBaseline::validate_json`]): non-empty curves, each with at
     /// least two safety-clean steps, goodput bounded by the offered load,
     /// ordered sojourn percentiles, a knee pointing into the steps and
@@ -809,7 +915,7 @@ impl BenchBaseline {
         let empty = Vec::new();
         let curves = sat["curves"].as_array().unwrap_or(&empty);
         if curves.is_empty() {
-            problems.push("schema v5 requires a non-empty saturation.curves".into());
+            problems.push("saturation is present but saturation.curves is empty".into());
             return;
         }
         for c in curves {
@@ -890,12 +996,12 @@ impl BenchBaseline {
         }
     }
 
-    /// Schema-v3 `chaos` section rules (see [`BenchBaseline::validate_json`]).
+    /// `chaos` section rules (see [`BenchBaseline::validate_json`]).
     fn validate_chaos(chaos: &serde_json::Value, problems: &mut Vec<String>) {
         let empty = Vec::new();
         let entries = chaos["entries"].as_array().unwrap_or(&empty);
         if entries.is_empty() {
-            problems.push("schema v3 requires a non-empty chaos.entries".into());
+            problems.push("chaos is present but chaos.entries is empty".into());
             return;
         }
         Self::check_transport("chaos", &chaos["transport"], problems);
@@ -932,12 +1038,12 @@ impl BenchBaseline {
         }
     }
 
-    /// Schema-v2 `service` section rules (see [`BenchBaseline::validate_json`]).
+    /// `service` section rules (see [`BenchBaseline::validate_json`]).
     fn validate_service(service: &serde_json::Value, problems: &mut Vec<String>) {
         let empty = Vec::new();
         let entries = service["entries"].as_array().unwrap_or(&empty);
         if entries.is_empty() {
-            problems.push("schema v2 requires a non-empty service.entries".into());
+            problems.push("service is present but service.entries is empty".into());
             return;
         }
         Self::check_transport("service", &service["transport"], problems);
@@ -977,19 +1083,14 @@ impl BenchBaseline {
                     "{label}: p50_micros/p99_micros must be numbers with p50 <= p99"
                 )),
             }
-            // Optional perf fields (absent in pre-upgrade baselines): when
-            // present they must at least be well-formed non-negative
-            // numbers.
             for key in [
                 "wire_per_txn",
                 "wire_messages",
                 "spurious_wakeups",
                 "p999_micros",
             ] {
-                if let Some(x) = e[key].as_f64() {
-                    if x < 0.0 {
-                        problems.push(format!("{label}: {key} must be >= 0"));
-                    }
+                if e[key].as_f64().is_none_or(|x| x < 0.0) {
+                    problems.push(format!("{label}: {key} must be a number >= 0"));
                 }
             }
         }
@@ -1018,124 +1119,6 @@ mod tests {
         assert_eq!(r.compare(false), "MISMATCH");
         assert!(!r.all_matched());
         assert!(r.render().contains("1/2"));
-    }
-
-    fn sample_baseline() -> BenchBaseline {
-        BenchBaseline {
-            schema_version: 1,
-            jobs: 4,
-            protocols: table5_protocol_names()
-                .iter()
-                .map(|name| ProtocolBaseline {
-                    protocol: name.to_string(),
-                    n: 6,
-                    f: 2,
-                    delays: 2,
-                    messages: 24,
-                    formula_delays: 2,
-                    formula_messages: 24,
-                    matches_formula: true,
-                    nice_run_micros: 12.5,
-                })
-                .collect(),
-            explorer: ExplorerBaseline {
-                protocol: "INBAC".into(),
-                n: 4,
-                f: 1,
-                executions: 1744,
-                counterexamples: 0,
-                sequential_millis: 100.0,
-                parallel_millis: 50.0,
-                jobs: 4,
-                speedup: 2.0,
-            },
-            service: None,
-            chaos: None,
-            attribution: None,
-            saturation: None,
-        }
-    }
-
-    fn sample_v2_baseline() -> BenchBaseline {
-        let mut b = sample_baseline();
-        b.schema_version = 2;
-        let mut entries = Vec::new();
-        for name in service_protocol_names() {
-            for clients in [2usize, 8] {
-                entries.push(ServiceEntry {
-                    protocol: name.to_string(),
-                    workload: "uniform".into(),
-                    clients,
-                    txns: 30,
-                    committed: 28,
-                    aborted: 2,
-                    stalled: 0,
-                    throughput_tps: 150.0,
-                    p50_micros: 10_000.0,
-                    p90_micros: 12_000.0,
-                    p99_micros: 15_000.0,
-                    p999_micros: (clients == 2).then_some(18_000.0),
-                    max_micros: 20_000.0,
-                    safety_violations: 0,
-                    // One entry with perf fields, one without: both shapes
-                    // must validate (pre-upgrade baselines lack them).
-                    wire_messages: (clients == 2).then_some(300),
-                    wire_per_txn: (clients == 2).then_some(10.0),
-                    spurious_wakeups: (clients == 2).then_some(0),
-                });
-            }
-        }
-        b.service = Some(ServiceBaseline {
-            n: 4,
-            f: 1,
-            // Legacy shape: pre-transport baselines carry no field here
-            // and must keep validating.
-            transport: None,
-            unit_micros: 5_000,
-            entries,
-        });
-        b
-    }
-
-    fn sample_v3_baseline() -> BenchBaseline {
-        let mut b = sample_v2_baseline();
-        b.schema_version = 3;
-        let mut entries = Vec::new();
-        for protocol in service_protocol_names() {
-            for scenario in chaos_scenario_names() {
-                entries.push(ChaosEntry {
-                    protocol: protocol.to_string(),
-                    scenario: scenario.to_string(),
-                    txns: 40,
-                    committed: 20,
-                    aborted: 20,
-                    stalled: 0,
-                    safety_violations: 0,
-                    submitted_during_fault: 12,
-                    decided_during_fault: 10,
-                    committed_during_fault: 3,
-                    committed_after_heal: 9,
-                    ops_during_fault: 15.0,
-                    ops_after_heal: 60.0,
-                    availability_pct: 83.3,
-                    blocked: if protocol == "2PC" { 5 } else { 0 },
-                    recovery_ms: 40.0,
-                    retries: 6,
-                    dropped_messages: 30,
-                    wire_messages: 900,
-                });
-            }
-        }
-        b.chaos = Some(ChaosBaseline {
-            n: 4,
-            f: 1,
-            transport: Some("tcp".into()),
-            unit_micros: 5_000,
-            fault_from_units: 10,
-            fault_until_units: 50,
-            entries,
-        });
-        b
     }
 
     fn sample_attribution_entry(protocol: &str, transport: &str) -> AttributionEntry {
@@ -1177,24 +1160,6 @@ mod tests {
         }
     }
 
-    fn sample_v4_baseline() -> BenchBaseline {
-        let mut b = sample_v3_baseline();
-        b.schema_version = 4;
-        let mut entries = Vec::new();
-        for protocol in table5_protocol_names() {
-            for transport in attribution_transport_names() {
-                entries.push(sample_attribution_entry(protocol, transport));
-            }
-        }
-        b.attribution = Some(AttributionBaseline {
-            n: 4,
-            f: 1,
-            unit_micros: 5_000,
-            entries,
-        });
-        b
-    }
-
     fn sample_saturation_step(step: usize, rate: f64) -> SaturationStep {
         SaturationStep {
             step,
@@ -1216,9 +1181,112 @@ mod tests {
         }
     }
 
-    fn sample_v5_baseline() -> BenchBaseline {
-        let mut b = sample_v4_baseline();
-        b.schema_version = 5;
+    /// A valid baseline carrying all six sections.
+    fn sample_baseline() -> BenchBaseline {
+        let protocols = table5_protocol_names()
+            .iter()
+            .map(|name| ProtocolBaseline {
+                protocol: name.to_string(),
+                n: 6,
+                f: 2,
+                delays: 2,
+                messages: 24,
+                formula_delays: 2,
+                formula_messages: 24,
+                matches_formula: true,
+                nice_run_micros: 12.5,
+            })
+            .collect();
+        let explorer = ExplorerBaseline {
+            protocol: "INBAC".into(),
+            n: 4,
+            f: 1,
+            executions: 1744,
+            counterexamples: 0,
+            sequential_millis: 100.0,
+            parallel_millis: 50.0,
+            jobs: 4,
+            speedup: 2.0,
+        };
+        let mut b = BenchBaseline::new(4, protocols, explorer);
+        let mut entries = Vec::new();
+        for name in service_protocol_names() {
+            for clients in [2usize, 8] {
+                entries.push(ServiceEntry {
+                    protocol: name.to_string(),
+                    workload: "uniform".into(),
+                    clients,
+                    txns: 30,
+                    committed: 28,
+                    aborted: 2,
+                    stalled: 0,
+                    throughput_tps: 150.0,
+                    p50_micros: 10_000.0,
+                    p90_micros: 12_000.0,
+                    p99_micros: 15_000.0,
+                    p999_micros: 18_000.0,
+                    max_micros: 20_000.0,
+                    safety_violations: 0,
+                    wire_messages: 300,
+                    wire_per_txn: 10.0,
+                    spurious_wakeups: 0,
+                });
+            }
+        }
+        b.service = Some(ServiceBaseline {
+            n: 4,
+            f: 1,
+            transport: "channel".into(),
+            unit_micros: 5_000,
+            entries,
+        });
+        let mut entries = Vec::new();
+        for protocol in table5_protocol_names() {
+            for transport in attribution_transport_names() {
+                entries.push(sample_attribution_entry(protocol, transport));
+            }
+        }
+        b.attribution = Some(AttributionBaseline {
+            n: 4,
+            f: 1,
+            unit_micros: 5_000,
+            entries,
+        });
+        let mut entries = Vec::new();
+        for protocol in service_protocol_names() {
+            for scenario in chaos_scenario_names() {
+                entries.push(ChaosEntry {
+                    protocol: protocol.to_string(),
+                    scenario: scenario.to_string(),
+                    txns: 40,
+                    committed: 20,
+                    aborted: 20,
+                    stalled: 0,
+                    safety_violations: 0,
+                    submitted_during_fault: 12,
+                    decided_during_fault: 10,
+                    committed_during_fault: 3,
+                    committed_after_heal: 9,
+                    ops_during_fault: 15.0,
+                    ops_after_heal: 60.0,
+                    availability_pct: 83.3,
+                    blocked: if protocol == "2PC" { 5 } else { 0 },
+                    recovery_ms: 40.0,
+                    retries: 6,
+                    dropped_messages: 30,
+                    wire_messages: 900,
+                });
+            }
+        }
+        b.chaos = Some(ChaosBaseline {
+            n: 4,
+            f: 1,
+            transport: "tcp".into(),
+            unit_micros: 5_000,
+            fault_from_units: 10,
+            fault_until_units: 50,
+            entries,
+        });
         let curves = table5_protocol_names()
             .iter()
             .map(|p| SaturationCurve {
@@ -1257,34 +1325,108 @@ mod tests {
         b
     }
 
+    const ALL_SECTIONS: [&str; 6] = [
+        "protocols",
+        "explorer",
+        "service",
+        "attribution",
+        "chaos",
+        "saturation",
+    ];
+
+    /// The problems `validate_json` reports for `b`, which must be invalid.
+    fn problems_of(b: &BenchBaseline) -> Vec<String> {
+        BenchBaseline::validate_json(&b.to_json()).unwrap_err()
+    }
+
+    fn assert_reports(problems: &[String], needle: &str) {
+        assert!(
+            problems.iter().any(|p| p.contains(needle)),
+            "missing {needle:?} in {problems:?}"
+        );
+    }
+
+    /// `json` with the first `"key"` value after the first `anchor` set to
+    /// `null` (the vendored `serde_json::Value` is read-only).
+    fn null_after(json: &str, anchor: &str, key: &str) -> String {
+        let from = json.find(anchor).expect("anchor present");
+        let pat = format!("\"{key}\": ");
+        let start = from + json[from..].find(&pat).expect("key present") + pat.len();
+        let end = start + json[start..].find([',', '\n']).expect("value ends");
+        format!("{}null{}", &json[..start], &json[end..])
+    }
+
     #[test]
-    fn v5_baseline_round_trips_and_validates() {
-        let b = sample_v5_baseline();
-        assert_eq!(BenchBaseline::validate_json(&b.to_json()), Ok(()));
-        // The quick-smoke shape — a single tcp curve — is first-class.
-        let mut smoke = sample_v5_baseline();
+    fn baseline_validates_and_reports_the_sections_present() {
+        let b = sample_baseline();
+        assert_eq!(
+            BenchBaseline::validate_json(&b.to_json()),
+            Ok(ALL_SECTIONS.to_vec())
+        );
+        // What `repro load` writes: no chaos, no saturation.
+        let mut load = sample_baseline();
+        load.chaos = None;
+        load.saturation = None;
+        assert_eq!(
+            BenchBaseline::validate_json(&load.to_json()),
+            Ok(vec!["protocols", "explorer", "service", "attribution"])
+        );
+        // What `repro bench` writes: the simulator sections only.
+        let mut bench = load;
+        bench.service = None;
+        bench.attribution = None;
+        assert_eq!(
+            BenchBaseline::validate_json(&bench.to_json()),
+            Ok(vec!["protocols", "explorer"])
+        );
+        // The quick saturate smoke: a single tcp curve is first-class.
+        let mut smoke = sample_baseline();
         {
             let sat = smoke.saturation.as_mut().unwrap();
             sat.curves.truncate(1);
             sat.curves[0].transport = "tcp".into();
         }
-        assert_eq!(BenchBaseline::validate_json(&smoke.to_json()), Ok(()));
-    }
-
-    #[test]
-    fn v5_requires_a_saturation_section() {
-        let mut b = sample_v5_baseline();
-        b.saturation = None;
-        let problems = BenchBaseline::validate_json(&b.to_json()).unwrap_err();
-        assert!(
-            problems.iter().any(|p| p.contains("saturation.curves")),
-            "{problems:?}"
+        assert_eq!(
+            BenchBaseline::validate_json(&smoke.to_json()),
+            Ok(ALL_SECTIONS.to_vec())
         );
     }
 
     #[test]
-    fn v5_gates_knee_goodput_and_step_shape() {
-        let mut b = sample_v5_baseline();
+    fn only_the_current_schema_is_accepted() {
+        let json = sample_baseline().to_json();
+        let current = format!("\"schema_version\": {SCHEMA_VERSION}");
+        assert!(json.contains(&current), "{json}");
+        for old in 1..SCHEMA_VERSION {
+            let problems = BenchBaseline::validate_json(
+                &json.replace(&current, &format!("\"schema_version\": {old}")),
+            )
+            .unwrap_err();
+            assert_reports(&problems, "schema_version must be 5");
+        }
+    }
+
+    #[test]
+    fn a_present_but_empty_section_is_rejected() {
+        let mut b = sample_baseline();
+        b.service.as_mut().unwrap().entries.clear();
+        b.attribution.as_mut().unwrap().entries.clear();
+        b.chaos.as_mut().unwrap().entries.clear();
+        b.saturation.as_mut().unwrap().curves.clear();
+        let problems = problems_of(&b);
+        for needle in [
+            "service.entries",
+            "attribution.entries",
+            "chaos.entries",
+            "saturation.curves",
+        ] {
+            assert_reports(&problems, needle);
+        }
+    }
+
+    #[test]
+    fn saturation_gates_knee_goodput_and_step_shape() {
+        let mut b = sample_baseline();
         {
             let sat = b.saturation.as_mut().unwrap();
             sat.curves[0].knee.step = 99; // out of range
@@ -1294,8 +1436,13 @@ mod tests {
             sat.curves[3].steps[0].safety_violations = 1;
             sat.curves[4].steps.truncate(1); // curve with no shape
             sat.curves[5].knee.stage_shares.remove(2); // drop "wal"
+            let c = &mut sat.curves[6];
+            c.transport = "carrier-pigeon".into();
+            c.steps[0].offered = 0;
+            c.steps[1].p50_sojourn_micros = c.steps[1].p99_sojourn_micros * 2.0;
+            c.steps[2].forces_per_txn = -1.0;
         }
-        let problems = BenchBaseline::validate_json(&b.to_json()).unwrap_err();
+        let problems = problems_of(&b);
         for needle in [
             "knee.step must index",
             "sum to 100 ± 5",
@@ -1303,23 +1450,13 @@ mod tests {
             "safety_violations must be 0",
             ">= 2 offered-load steps",
             "missing (or malformed) stage share wal",
+            "saturation.transport must be",
+            "offered must be > 0",
+            "p50 <= p99 <= p99.9",
+            "forces_per_txn must be >= 0",
         ] {
-            assert!(
-                problems.iter().any(|p| p.contains(needle)),
-                "missing {needle:?} in {problems:?}"
-            );
+            assert_reports(&problems, needle);
         }
-    }
-
-    #[test]
-    fn v4_baseline_round_trips_and_validates() {
-        let b = sample_v4_baseline();
-        assert_eq!(BenchBaseline::validate_json(&b.to_json()), Ok(()));
-        // The `repro load` shape — attribution present, chaos absent —
-        // is a first-class v4 baseline too.
-        let mut load_shaped = sample_v4_baseline();
-        load_shaped.chaos = None;
-        assert_eq!(BenchBaseline::validate_json(&load_shaped.to_json()), Ok(()));
     }
 
     #[test]
@@ -1328,46 +1465,28 @@ mod tests {
         // top of the required channel × tcp grid: they validate like any
         // other entry, carry the alignment-uncertainty marker, and an
         // unknown transport name is rejected.
-        let mut b = sample_v4_baseline();
+        let mut b = sample_baseline();
         let attr = b.attribution.as_mut().unwrap();
         attr.entries.push(sample_attribution_entry("2PC", "proc"));
-        assert_eq!(BenchBaseline::validate_json(&b.to_json()), Ok(()));
+        assert_eq!(
+            BenchBaseline::validate_json(&b.to_json()),
+            Ok(ALL_SECTIONS.to_vec())
+        );
 
         let attr = b.attribution.as_mut().unwrap();
         attr.entries.last_mut().unwrap().transport = "carrier-pigeon".into();
-        let problems = BenchBaseline::validate_json(&b.to_json()).unwrap_err();
-        assert!(
-            problems.iter().any(|p| p.contains("carrier-pigeon")),
-            "{problems:?}"
-        );
+        assert_reports(&problems_of(&b), "carrier-pigeon");
 
         let attr = b.attribution.as_mut().unwrap();
         let last = attr.entries.last_mut().unwrap();
         last.transport = "proc".into();
         last.alignment_max_uncertainty_micros = Some(-1.0);
-        let problems = BenchBaseline::validate_json(&b.to_json()).unwrap_err();
-        assert!(
-            problems
-                .iter()
-                .any(|p| p.contains("alignment_max_uncertainty_micros")),
-            "{problems:?}"
-        );
+        assert_reports(&problems_of(&b), "alignment_max_uncertainty_micros");
     }
 
     #[test]
-    fn v4_requires_an_attribution_section() {
-        let mut b = sample_v4_baseline();
-        b.attribution = None;
-        let problems = BenchBaseline::validate_json(&b.to_json()).unwrap_err();
-        assert!(
-            problems.iter().any(|p| p.contains("attribution.entries")),
-            "{problems:?}"
-        );
-    }
-
-    #[test]
-    fn v4_gates_coverage_shares_and_full_protocol_transport_grid() {
-        let mut b = sample_v4_baseline();
+    fn attribution_gates_coverage_shares_and_full_protocol_transport_grid() {
+        let mut b = sample_baseline();
         {
             let attr = b.attribution.as_mut().unwrap();
             attr.entries
@@ -1375,56 +1494,19 @@ mod tests {
             attr.entries[0].share_sum_pct = 80.0;
             attr.entries[1].coverage_pct = 0.0;
             attr.entries[2].stages.remove(2); // drop the "wal" stage row
+            attr.entries[3].e2e_p50_micros = 0.0;
         }
-        let problems = BenchBaseline::validate_json(&b.to_json()).unwrap_err();
-        assert!(
-            problems
-                .iter()
-                .any(|p| p.contains("INBAC") && p.contains("tcp")),
-            "{problems:?}"
-        );
-        assert!(
-            problems.iter().any(|p| p.contains("100 ± 5")),
-            "{problems:?}"
-        );
-        assert!(
-            problems.iter().any(|p| p.contains("coverage_pct")),
-            "{problems:?}"
-        );
-        assert!(
-            problems
-                .iter()
-                .any(|p| p.contains("missing (or malformed) stage wal")),
-            "{problems:?}"
-        );
+        let problems = problems_of(&b);
+        assert_reports(&problems, "e2e_p50_micros must be positive");
+        assert_reports(&problems, "attribution must cover INBAC over tcp");
+        assert_reports(&problems, "100 ± 5");
+        assert_reports(&problems, "coverage_pct");
+        assert_reports(&problems, "missing (or malformed) stage wal");
     }
 
     #[test]
-    fn v4_still_validates_a_dirty_chaos_section_when_present() {
-        let mut b = sample_v4_baseline();
-        b.chaos.as_mut().unwrap().entries[0].safety_violations = 1;
-        let problems = BenchBaseline::validate_json(&b.to_json()).unwrap_err();
-        assert!(
-            problems.iter().any(|p| p.contains("safety audit")),
-            "{problems:?}"
-        );
-    }
-
-    #[test]
-    fn baseline_round_trips_and_validates() {
-        let b = sample_baseline();
-        assert_eq!(BenchBaseline::validate_json(&b.to_json()), Ok(()));
-    }
-
-    #[test]
-    fn v3_baseline_round_trips_and_validates() {
-        let b = sample_v3_baseline();
-        assert_eq!(BenchBaseline::validate_json(&b.to_json()), Ok(()));
-    }
-
-    #[test]
-    fn v3_requires_full_scenario_coverage_and_clean_audits() {
-        let mut b = sample_v3_baseline();
+    fn chaos_requires_full_scenario_coverage_and_clean_audits() {
+        let mut b = sample_baseline();
         {
             let chaos = b.chaos.as_mut().unwrap();
             chaos
@@ -1432,46 +1514,22 @@ mod tests {
                 .retain(|e| !(e.protocol == "INBAC" && e.scenario == "partition-heal"));
             chaos.entries[0].safety_violations = 1;
             chaos.entries[1].stalled = 3;
+            chaos.entries[2].availability_pct = -1.0;
+            chaos.entries[3].txns = 0;
         }
-        let problems = BenchBaseline::validate_json(&b.to_json()).unwrap_err();
-        assert!(
-            problems
-                .iter()
-                .any(|p| p.contains("INBAC") && p.contains("partition-heal")),
-            "{problems:?}"
-        );
-        assert!(
-            problems.iter().any(|p| p.contains("safety audit")),
-            "{problems:?}"
-        );
-        assert!(
-            problems
-                .iter()
-                .any(|p| p.contains("resolve after the heal")),
-            "{problems:?}"
-        );
-    }
-
-    #[test]
-    fn v3_requires_a_chaos_section() {
-        let mut b = sample_v3_baseline();
-        b.chaos = None;
-        let problems = BenchBaseline::validate_json(&b.to_json()).unwrap_err();
-        assert!(
-            problems.iter().any(|p| p.contains("chaos.entries")),
-            "{problems:?}"
-        );
-        // ...while a v2 baseline without one stays valid.
-        let v2 = sample_v2_baseline();
-        assert_eq!(BenchBaseline::validate_json(&v2.to_json()), Ok(()));
+        let problems = problems_of(&b);
+        assert_reports(&problems, "availability_pct must be a non-negative number");
+        assert_reports(&problems, "txns must be > 0");
+        assert_reports(&problems, "chaos must measure INBAC under partition-heal");
+        assert_reports(&problems, "safety audit");
+        assert_reports(&problems, "resolve after the heal");
     }
 
     #[test]
     fn baseline_validation_catches_missing_protocols() {
         let mut b = sample_baseline();
         b.protocols.retain(|p| p.protocol != "INBAC");
-        let problems = BenchBaseline::validate_json(&b.to_json()).unwrap_err();
-        assert!(problems.iter().any(|p| p.contains("INBAC")), "{problems:?}");
+        assert_reports(&problems_of(&b), "INBAC");
     }
 
     #[test]
@@ -1479,15 +1537,13 @@ mod tests {
         let mut b = sample_baseline();
         b.protocols[0].matches_formula = false;
         b.explorer.counterexamples = 3;
-        let problems = BenchBaseline::validate_json(&b.to_json()).unwrap_err();
-        assert!(
-            problems.iter().any(|p| p.contains("formula")),
-            "{problems:?}"
-        );
-        assert!(
-            problems.iter().any(|p| p.contains("counterexamples")),
-            "{problems:?}"
-        );
+        b.explorer.executions = 0;
+        b.explorer.speedup = 0.0;
+        let problems = problems_of(&b);
+        assert_reports(&problems, "formula");
+        assert_reports(&problems, "counterexamples");
+        assert_reports(&problems, "explorer.executions must be > 0");
+        assert_reports(&problems, "explorer.speedup must be a positive number");
     }
 
     #[test]
@@ -1497,90 +1553,70 @@ mod tests {
     }
 
     #[test]
-    fn v2_baseline_round_trips_and_validates() {
-        let b = sample_v2_baseline();
-        assert_eq!(BenchBaseline::validate_json(&b.to_json()), Ok(()));
-    }
-
-    #[test]
-    fn v2_requires_a_service_section() {
-        let mut b = sample_v2_baseline();
-        b.service = None;
-        let problems = BenchBaseline::validate_json(&b.to_json()).unwrap_err();
-        assert!(
-            problems.iter().any(|p| p.contains("service.entries")),
-            "{problems:?}"
-        );
-    }
-
-    #[test]
-    fn v2_requires_two_concurrency_levels_per_protocol() {
-        let mut b = sample_v2_baseline();
+    fn service_requires_two_concurrency_levels_per_protocol() {
+        let mut b = sample_baseline();
         let svc = b.service.as_mut().unwrap();
         svc.entries
             .retain(|e| e.protocol != "INBAC" || e.clients == 2);
-        let problems = BenchBaseline::validate_json(&b.to_json()).unwrap_err();
-        assert!(
-            problems
-                .iter()
-                .any(|p| p.contains("INBAC") && p.contains("concurrency")),
-            "{problems:?}"
+        assert_reports(
+            &problems_of(&b),
+            "service must measure INBAC at >= 2 concurrency levels",
         );
     }
 
     #[test]
-    fn v2_rejects_safety_violations_and_stalls() {
-        let mut b = sample_v2_baseline();
+    fn service_rejects_safety_violations_and_stalls() {
+        let mut b = sample_baseline();
         {
             let svc = b.service.as_mut().unwrap();
             svc.entries[0].safety_violations = 1;
             svc.entries[1].stalled = 2;
         }
-        let problems = BenchBaseline::validate_json(&b.to_json()).unwrap_err();
-        assert!(
-            problems.iter().any(|p| p.contains("safety_violations")),
-            "{problems:?}"
-        );
-        assert!(
-            problems.iter().any(|p| p.contains("stalled")),
-            "{problems:?}"
-        );
+        let problems = problems_of(&b);
+        assert_reports(&problems, "safety_violations must be 0");
+        assert_reports(&problems, "stalled must be 0");
     }
 
     #[test]
-    fn v2_rejects_negative_perf_fields() {
-        let json = sample_v2_baseline().to_json();
-        // NB: the vendored serde_json prints `10.0_f64` as `10`.
-        let corrupted = json.replace("\"wire_per_txn\": 10", "\"wire_per_txn\": -3");
-        assert_ne!(corrupted, json, "fixture must carry a wire_per_txn");
-        let problems = BenchBaseline::validate_json(&corrupted).unwrap_err();
-        assert!(
-            problems.iter().any(|p| p.contains("wire_per_txn")),
-            "{problems:?}"
-        );
+    fn service_rejects_negative_or_disordered_numbers() {
+        let mut b = sample_baseline();
+        {
+            let svc = b.service.as_mut().unwrap();
+            svc.entries[0].wire_per_txn = -3.0;
+            svc.entries[1].p999_micros = -1.0;
+            svc.entries[2].throughput_tps = 0.0;
+            svc.entries[3].p50_micros = svc.entries[3].p99_micros * 2.0;
+        }
+        let problems = problems_of(&b);
+        assert_reports(&problems, "wire_per_txn must be a number >= 0");
+        assert_reports(&problems, "p999_micros must be a number >= 0");
+        assert_reports(&problems, "throughput_tps must be positive");
+        assert_reports(&problems, "with p50 <= p99");
     }
 
     #[test]
-    fn v1_baselines_stay_valid_without_service() {
-        // The committed pre-upgrade format lacked the `service` (and now
-        // `chaos`) keys entirely (not `"…": null`, which is what
-        // serializing `None` produces) — strip them to validate the real
-        // shape.
+    fn required_fields_may_not_be_null() {
         let json = sample_baseline().to_json();
-        let stripped = json
-            .replace(",\n  \"service\": null", "")
-            .replace(",\n  \"chaos\": null", "")
-            .replace(",\n  \"attribution\": null", "");
-        assert!(
-            !stripped.contains("service")
-                && !stripped.contains("chaos")
-                && !stripped.contains("attribution")
-                && stripped != json,
-            "fixture no longer serializes null optional sections:\n{json}"
-        );
-        assert_eq!(BenchBaseline::validate_json(&stripped), Ok(()));
-        // `"service": null` (a freshly emitted v1) must also stay valid.
-        assert_eq!(BenchBaseline::validate_json(&json), Ok(()));
+        for (anchor, key, needle) in [
+            ("\"service\": {", "transport", "service.transport must be"),
+            ("\"chaos\": {", "transport", "chaos.transport must be"),
+            (
+                "\"entries\": [",
+                "p999_micros",
+                "p999_micros must be a number",
+            ),
+            (
+                "\"entries\": [",
+                "spurious_wakeups",
+                "spurious_wakeups must be a number",
+            ),
+            ("\"knee\": {", "detected", "knee.detected must be a boolean"),
+        ] {
+            let nulled = null_after(&json, anchor, key);
+            assert_ne!(nulled, json);
+            let problems = BenchBaseline::validate_json(&nulled).unwrap_err();
+            assert_reports(&problems, needle);
+        }
     }
 
     #[test]

@@ -61,3 +61,34 @@ fn reports_serialize_to_json() {
     assert_eq!(v["id"], "table2");
     assert!(v["tables"].as_array().is_some());
 }
+
+/// The committed `BENCH_baseline.json` is the full `repro saturate`
+/// output: it must validate with all six sections, and its saturation
+/// section must cover every Table-5 protocol on the channel transport.
+#[test]
+fn committed_baseline_validates_with_every_section() {
+    use ac_harness::report::{table5_protocol_names, BenchBaseline};
+    let text = include_str!("../BENCH_baseline.json");
+    assert_eq!(
+        BenchBaseline::validate_json(text),
+        Ok(vec![
+            "protocols",
+            "explorer",
+            "service",
+            "attribution",
+            "chaos",
+            "saturation"
+        ])
+    );
+    let v: serde_json::Value = serde_json::from_str(text).unwrap();
+    let curves = v["saturation"]["curves"].as_array().unwrap();
+    for protocol in table5_protocol_names() {
+        assert!(
+            curves
+                .iter()
+                .any(|c| c["protocol"].as_str() == Some(protocol)
+                    && c["transport"].as_str() == Some("channel")),
+            "no channel saturation curve for {protocol}"
+        );
+    }
+}
